@@ -164,6 +164,16 @@ def ego_sort_order(points: np.ndarray, epsilon: float,
     cells = grid_cells(points, epsilon)
     if cells.ndim != 2:
         raise ValueError(f"points must be 2-dimensional, got shape {points.shape}")
+    return cell_sort_order(cells, ids)
+
+
+def cell_sort_order(cells: np.ndarray,
+                    ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`ego_sort_order` on precomputed ``(n, d)`` grid cells.
+
+    For callers that keep the cells: ``cells[order]`` are then the cells
+    of the sorted points, with no second cell computation.
+    """
     keys = [cells[:, j] for j in range(cells.shape[1] - 1, -1, -1)]
     if ids is not None:
         keys.insert(0, np.asarray(ids))

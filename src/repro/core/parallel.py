@@ -246,13 +246,20 @@ class SerialUnitJoiner:
     def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
                ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
                on_complete: Optional[Callable[[], None]] = None,
-               key: Optional[Tuple[int, int]] = None) -> None:
-        """Join one unit pair immediately (``ids_b is None`` = self-pair)."""
+               key: Optional[Tuple[int, int]] = None,
+               cells_a: Optional[np.ndarray] = None,
+               cells_b: Optional[np.ndarray] = None) -> None:
+        """Join one unit pair immediately (``ids_b is None`` = self-pair).
+
+        ``cells_a`` / ``cells_b`` are the units' resident grid cells,
+        reused by the join instead of recomputed.
+        """
         if ids_b is None:
             join_point_blocks(ids_a, pts_a, ids_a, pts_a, self.ctx,
-                              same_block=True)
+                              same_block=True, cells_a=cells_a)
         else:
-            join_point_blocks(ids_a, pts_a, ids_b, pts_b, self.ctx)
+            join_point_blocks(ids_a, pts_a, ids_b, pts_b, self.ctx,
+                              cells_a=cells_a, cells_b=cells_b)
         if on_complete is not None:
             on_complete()
 
@@ -308,8 +315,14 @@ class ParallelUnitJoiner:
     def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
                ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
                on_complete: Optional[Callable[[], None]] = None,
-               key: Optional[Tuple[int, int]] = None) -> None:
-        """Queue one unit pair; emits any results that are ready in order."""
+               key: Optional[Tuple[int, int]] = None,
+               cells_a: Optional[np.ndarray] = None,
+               cells_b: Optional[np.ndarray] = None) -> None:
+        """Queue one unit pair; emits any results that are ready in order.
+
+        Cells are not shipped: pickling them would double each task's
+        payload, and the worker computes them once per block anyway.
+        """
         fut = self._pool.submit(_run_unit_pair, ids_a, pts_a, ids_b, pts_b)
         self._pending[self._next_submit] = (fut, on_complete)
         self._next_submit += 1

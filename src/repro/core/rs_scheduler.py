@@ -39,7 +39,8 @@ from .sequence_join import JoinContext
 from .sequence import Sequence
 from .sequence_join import join_sequences
 
-UnitData = Tuple[np.ndarray, np.ndarray]
+#: A resident unit: ids, points and their grid cells (evicted together).
+UnitData = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def populated_units(point_file: PointFile, unit_bytes: int) -> np.ndarray:
@@ -141,8 +142,9 @@ class TwoFileScheduler:
         span_args = ({"side": "r", "unit": ordinal}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            return self.file_r.read_unit(int(self.units_r[ordinal]),
-                                         self.unit_bytes)
+            ids, pts = self.file_r.read_unit(int(self.units_r[ordinal]),
+                                             self.unit_bytes)
+        return ids, pts, grid_cells(pts, self.ctx.grid_epsilon)
 
     def _load_s(self, ordinal: int) -> UnitData:
         self.stats.s_loads += 1
@@ -150,13 +152,19 @@ class TwoFileScheduler:
         span_args = ({"side": "s", "unit": ordinal}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            return self.file_s.read_unit(int(self.units_s[ordinal]),
-                                         self.unit_bytes)
+            ids, pts = self.file_s.read_unit(int(self.units_s[ordinal]),
+                                             self.unit_bytes)
+        return ids, pts, grid_cells(pts, self.ctx.grid_epsilon)
 
     def _collect_meta(self, point_file: PointFile,
                       unit_ids: np.ndarray) -> List[UnitMeta]:
-        metas = []
-        eps = self.ctx.grid_epsilon
+        """Boundary-record pass: every unit's first and last cells.
+
+        The boundary points of all units are gathered first and mapped
+        to cells in one call; row ``2k`` / ``2k + 1`` are unit ``k``'s
+        first / last point.
+        """
+        ends = []
         for unit in unit_ids:
             first, last = point_file.unit_record_range(int(unit),
                                                        self.unit_bytes)
@@ -164,9 +172,10 @@ class TwoFileScheduler:
             _i, last_pt = point_file.read_range(last - 1, 1)
             self.stats.meta_reads += 2
             self._m_meta_reads.inc(2)
-            metas.append(UnitMeta(first_cells=grid_cells(first_pt[0], eps),
-                                  last_cells=grid_cells(last_pt[0], eps)))
-        return metas
+            ends.extend((first_pt[0], last_pt[0]))
+        cells = grid_cells(np.stack(ends), self.ctx.grid_epsilon)
+        return [UnitMeta(first_cells=cells[k], last_cells=cells[k + 1])
+                for k in range(0, len(cells), 2)]
 
     # -- window geometry ----------------------------------------------------
 
@@ -195,8 +204,8 @@ class TwoFileScheduler:
             self.stats.unit_pairs_skipped += 1
             self._m_pair_skipped.inc()
             return
-        ids_r, pts_r = self._pool_r.get(r_unit)
-        ids_s, pts_s = self._pool_s.get(s_unit)
+        ids_r, pts_r, cells_r = self._pool_r.get(r_unit)
+        ids_s, pts_s, cells_s = self._pool_s.get(s_unit)
         if len(ids_r) == 0 or len(ids_s) == 0:
             return
         self.stats.unit_pairs_joined += 1
@@ -204,9 +213,10 @@ class TwoFileScheduler:
         span_args = ({"r": r_unit, "s": s_unit}
                      if self._tracer.enabled else None)
         with self._tracer.span("unit_pair", args=span_args):
-            join_sequences(Sequence(ids_r, pts_r, self.ctx.grid_epsilon),
-                           Sequence(ids_s, pts_s, self.ctx.grid_epsilon),
-                           self.ctx)
+            join_sequences(
+                Sequence(ids_r, pts_r, self.ctx.grid_epsilon, cells=cells_r),
+                Sequence(ids_s, pts_s, self.ctx.grid_epsilon, cells=cells_s),
+                self.ctx)
 
     # -- the schedule ---------------------------------------------------------
 

@@ -43,7 +43,10 @@ from ..storage.pagefile import PointFile
 from .ego_order import grid_cells, lex_less
 from .sequence_join import JoinContext
 
-UnitData = Tuple[np.ndarray, np.ndarray]
+#: A resident unit: ids, points and the points' grid cells.  The cells
+#: live in the buffer frame beside the data, so they are evicted with
+#: the unit and resident memory stays proportional to the buffer.
+UnitData = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -237,12 +240,15 @@ class EGOScheduler:
         with self._tracer.span("load", cat="io", args=span_args):
             ids, points = self.point_file.read_unit(
                 int(self.unit_ids[ordinal]), self.unit_bytes)
+        cells = grid_cells(points, self.ctx.grid_epsilon)
         if ordinal not in self.meta and len(points):
-            cells = grid_cells(points[[0, -1]], self.ctx.grid_epsilon)
-            self.meta[ordinal] = UnitMeta(first_cells=cells[0],
-                                          last_cells=cells[1])
+            # A copy of the two boundary rows: the metadata outlives the
+            # frame and must not keep the unit's cell array alive.
+            ends = cells[[0, -1]]
+            self.meta[ordinal] = UnitMeta(first_cells=ends[0],
+                                          last_cells=ends[1])
         self.unit_records.setdefault(ordinal, len(ids))
-        return ids, points
+        return ids, points, cells
 
     def _needed(self, unit: int, frontier: int) -> bool:
         """Lemma-2 test: can ``unit`` contain mates of ``frontier`` or later?
@@ -295,7 +301,7 @@ class EGOScheduler:
         on_complete = None
         if self.pair_complete is not None:
             on_complete = partial(self.pair_complete, a, b)
-        ids_a, pts_a = self.pool.peek(a).value
+        ids_a, pts_a, cells_a = self.pool.peek(a).value
         span_args = ({"a": min(a, b), "b": max(a, b)}
                      if self._tracer.enabled else None)
         # With a parallel joiner the span covers submission and any
@@ -305,12 +311,13 @@ class EGOScheduler:
             if a == b:
                 self.unit_joiner.submit(ids_a, pts_a, None, None,
                                         on_complete,
-                                        key=(a, a))
+                                        key=(a, a), cells_a=cells_a)
             else:
-                ids_b, pts_b = self.pool.peek(b).value
+                ids_b, pts_b, cells_b = self.pool.peek(b).value
                 self.unit_joiner.submit(ids_a, pts_a, ids_b, pts_b,
                                         on_complete,
-                                        key=(min(a, b), max(a, b)))
+                                        key=(min(a, b), max(a, b)),
+                                        cells_a=cells_a, cells_b=cells_b)
 
     # -- the schedule ---------------------------------------------------------
 

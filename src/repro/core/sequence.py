@@ -14,23 +14,26 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ego_order import floor_cells, grid_cells, validate_epsilon
+from .ego_order import grid_cells, validate_epsilon
 
 
 class Sequence:
-    """A contiguous run of EGO-sorted points with cached cell metadata.
+    """A contiguous run of EGO-sorted points with its grid cells.
 
-    Slicing via :meth:`first_half` / :meth:`second_half` creates views, not
-    copies, so the recursion of ``join_sequences`` allocates only small
-    metadata objects (the paper's point that EGO needs no directory — the
-    only overhead is the O(log n) recursion stack).
+    The ``(n, d)`` cell array is computed once, when the outermost
+    sequence is built (or handed in by a caller that already holds it,
+    such as the scheduler's resident units).  Slicing via
+    :meth:`first_half` / :meth:`second_half` creates views of the ids,
+    points *and* cells, not copies, so the recursion of
+    ``join_sequences`` allocates only small metadata objects (the paper's
+    point that EGO needs no directory — the only overhead is the
+    O(log n) recursion stack) and never recomputes a cell.
     """
 
-    __slots__ = ("ids", "points", "epsilon", "_first_cells", "_last_cells",
-                 "_active_dim")
+    __slots__ = ("ids", "points", "cells", "epsilon", "_active_dim")
 
     def __init__(self, ids: np.ndarray, points: np.ndarray,
-                 epsilon: float) -> None:
+                 epsilon: float, cells: Optional[np.ndarray] = None) -> None:
         self.ids = ids
         self.points = points
         self.epsilon = validate_epsilon(epsilon)
@@ -39,8 +42,13 @@ class Sequence:
                 f"ids ({len(ids)}) and points ({len(points)}) differ in length")
         if len(points) == 0:
             raise ValueError("a Sequence must contain at least one point")
-        self._first_cells: Optional[np.ndarray] = None
-        self._last_cells: Optional[np.ndarray] = None
+        if cells is None:
+            cells = grid_cells(points, self.epsilon)
+        elif cells.shape != points.shape:
+            raise ValueError(
+                f"cells {cells.shape} and points {points.shape} differ in "
+                f"shape")
+        self.cells = cells
         self._active_dim: int = -2        # -2 = not computed, -1 = none
 
     def __len__(self) -> int:
@@ -64,16 +72,12 @@ class Sequence:
     @property
     def first_cells(self) -> np.ndarray:
         """Grid cell coordinates of the first point."""
-        if self._first_cells is None:
-            self._first_cells = grid_cells(self.points[0], self.epsilon)
-        return self._first_cells
+        return self.cells[0]
 
     @property
     def last_cells(self) -> np.ndarray:
         """Grid cell coordinates of the last point."""
-        if self._last_cells is None:
-            self._last_cells = grid_cells(self.points[-1], self.epsilon)
-        return self._last_cells
+        return self.cells[-1]
 
     def active_dimension(self) -> Optional[int]:
         """The active dimension per Definition 2, or ``None`` if all inactive.
@@ -84,7 +88,7 @@ class Sequence:
         necessarily larger, satisfying condition (1) of the definition.
         """
         if self._active_dim == -2:
-            diff = self.first_cells != self.last_cells
+            diff = self.cells[0] != self.cells[-1]
             idx = int(np.argmax(diff)) if diff.any() else -1
             self._active_dim = idx
         return None if self._active_dim == -1 else self._active_dim
@@ -95,9 +99,20 @@ class Sequence:
         return self.dimensions if active is None else active
 
     def slice(self, start: int, stop: int) -> "Sequence":
-        """Sub-sequence view over ``[start, stop)``."""
-        return Sequence(self.ids[start:stop], self.points[start:stop],
-                        self.epsilon)
+        """Sub-sequence view over ``[start, stop)``.
+
+        The view shares the parent's ids, points and cells; ε was
+        validated when the parent was built, so it is not checked again.
+        """
+        sub = Sequence.__new__(Sequence)
+        sub.ids = self.ids[start:stop]
+        if len(sub.ids) == 0:
+            raise ValueError("a Sequence must contain at least one point")
+        sub.points = self.points[start:stop]
+        sub.cells = self.cells[start:stop]
+        sub.epsilon = self.epsilon
+        sub._active_dim = -2
+        return sub
 
     def first_half(self) -> "Sequence":
         """First half of the sequence (the larger half for odd lengths)."""
@@ -124,7 +139,7 @@ class Sequence:
         active = self.active_dimension()
         if active is None or len(self) < 2:
             return mid
-        cells = floor_cells(self.points[:, active], self.epsilon)
+        cells = self.cells[:, active]
         c_mid = cells[min(mid, len(self) - 1)]
         left = int(np.searchsorted(cells, c_mid, side="left"))
         right = int(np.searchsorted(cells, c_mid, side="right"))

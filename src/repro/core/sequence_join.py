@@ -246,7 +246,9 @@ def _leaf_windows(s: Sequence, t: Sequence, ctx: JoinContext):
     wdim = t.active_dimension()
     if wdim is None:
         return None
-    windows = candidate_windows(s.points, t.points, wdim, t.epsilon)
+    windows = candidate_windows(s.points, t.points, wdim, t.epsilon,
+                                cells_a=s.cells[:, wdim],
+                                cells_b=t.cells[:, wdim])
     if ctx.obs.enabled:
         lo, hi = windows
         ctx.obs.window_rows.observe_many((hi - lo).astype(int).tolist())
@@ -429,20 +431,31 @@ def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
 
 def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,
                       ids_b: np.ndarray, points_b: np.ndarray,
-                      ctx: JoinContext, same_block: bool = False) -> None:
+                      ctx: JoinContext, same_block: bool = False,
+                      cells_a: Optional[np.ndarray] = None,
+                      cells_b: Optional[np.ndarray] = None) -> None:
     """Join two EGO-sorted point blocks (e.g. two loaded I/O units).
 
     ``same_block=True`` marks the self-join of one block with itself; the
     arrays for ``a`` and ``b`` must then be the same objects.
+    ``cells_a`` / ``cells_b`` are the blocks' grid cells at
+    ``ctx.grid_epsilon`` when the caller already holds them (the
+    scheduler keeps them with each resident unit); omitted, they are
+    computed here, once per block.
     """
     if len(ids_a) == 0 or len(ids_b) == 0:
         return
+    if ctx.monitor is not None:
+        for pts, cells in ((points_a, cells_a), (points_b, cells_b)):
+            if cells is not None:
+                ctx.monitor.check_cells(pts, cells, ctx.grid_epsilon)
     span_args = ({"na": len(ids_a), "nb": len(ids_b), "self": same_block}
                  if ctx.trace.enabled else None)
     with ctx.trace.span("sequence_join", args=span_args):
-        seq_a = Sequence(ids_a, points_a, ctx.grid_epsilon)
+        seq_a = Sequence(ids_a, points_a, ctx.grid_epsilon, cells=cells_a)
         if same_block:
             join_sequences(seq_a, seq_a, ctx)
         else:
-            seq_b = Sequence(ids_b, points_b, ctx.grid_epsilon)
+            seq_b = Sequence(ids_b, points_b, ctx.grid_epsilon,
+                             cells=cells_b)
             join_sequences(seq_a, seq_b, ctx)

@@ -139,7 +139,7 @@ class PlanningJoiner:
         self.close()
 
     def submit(self, ids_a, pts_a, ids_b, pts_b, on_complete=None,
-               key=None) -> None:
+               key=None, cells_a=None, cells_b=None) -> None:
         # The scheduler always passes the lower ordinal's arrays first
         # and key=(min, max), so the key alone reconstructs the call.
         a, b = int(key[0]), int(key[1])

@@ -475,12 +475,15 @@ class SupervisedUnitJoiner:
     def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
                ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
                on_complete: Optional[Callable[[], None]] = None,
-               key: Optional[Tuple[int, int]] = None) -> None:
+               key: Optional[Tuple[int, int]] = None,
+               cells_a: Optional[np.ndarray] = None,
+               cells_b: Optional[np.ndarray] = None) -> None:
         """Queue one unit pair; merges any in-order results that are ready.
 
         ``key`` identifies the unit pair across runs (the scheduler
         passes its unit ordinals); it keys fault decisions, backoff
-        jitter, and the journal's decision log.
+        jitter, and the journal's decision log.  The units' cells are
+        not shipped to workers, which compute them once per block.
         """
         if key is None:
             key = (-1 - self._next_submit, -1 - self._next_submit)

@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Sequence as SequenceT, Tuple
 
 import numpy as np
 
-from ..core.ego_order import (ego_sort_order, ensure_finite, grid_cells,
-                              validate_epsilon)
+from ..core.ego_order import (cell_sort_order, ego_sort_order,
+                              ensure_finite, grid_cells, validate_epsilon)
 from ..core.result import JoinResult
 from ..core.sequence import Sequence
 from ..core.sequence_join import (DEFAULT_MINLEN, JoinContext,
@@ -92,6 +92,19 @@ class _MainView:
     #: First-row cell key per ``unit_records`` rows — the resident
     #: per-unit ε-interval metadata that brackets interval bisection.
     unit_keys: List[Tuple[int, ...]]
+
+
+def _sorted_sequence(ids: np.ndarray, points: np.ndarray,
+                     width: float) -> Sequence:
+    """EGO-sort a point batch at ``width`` into a :class:`Sequence`.
+
+    The cells computed for the sort are the sequence's cells, so the
+    batch is mapped to the grid once.
+    """
+    cells = grid_cells(points, width)
+    order = cell_sort_order(cells, ids)
+    return Sequence(ids[order], np.ascontiguousarray(points[order]), width,
+                    cells=cells[order])
 
 
 class StaleCacheError(RuntimeError):
@@ -745,11 +758,13 @@ class EGOStore:
         if view is not None:
             self._coarse_views.move_to_end(width)
             return view
-        order = ego_sort_order(self._main_pts, width, self._main_rowids)
-        pts = np.ascontiguousarray(self._main_pts[order])
-        cells = grid_cells(pts, width) if len(pts) else \
+        cells = grid_cells(self._main_pts, width) \
+            if len(self._main_pts) else \
             np.empty((0, self._dims or 0), dtype=np.int64)
-        view = _MainView(width, self._main_rowids[order], pts, cells,
+        order = cell_sort_order(cells, self._main_rowids)
+        cells = cells[order]
+        view = _MainView(width, self._main_rowids[order],
+                         np.ascontiguousarray(self._main_pts[order]), cells,
                          self._unit_keys_of(cells))
         self._coarse_views[width] = view
         while len(self._coarse_views) > MAX_COARSE_VIEWS:
@@ -842,11 +857,9 @@ class EGOStore:
     def _delta_sequence(self, width: float) -> Optional[Sequence]:
         if not self._delta_rowids:
             return None
-        d_ids = np.asarray(self._delta_rowids, dtype=np.int64)
-        d_pts = np.asarray(self._delta_pts, dtype=np.float64)
-        order = ego_sort_order(d_pts, width, d_ids)
-        return Sequence(d_ids[order], np.ascontiguousarray(d_pts[order]),
-                        width)
+        return _sorted_sequence(
+            np.asarray(self._delta_rowids, dtype=np.int64),
+            np.asarray(self._delta_pts, dtype=np.float64), width)
 
     def _main_interval(self, view: _MainView, lo_pt: np.ndarray,
                        hi_pt: np.ndarray) -> Tuple[int, int]:
@@ -898,7 +911,8 @@ class EGOStore:
         width = ctx.grid_epsilon
         view = self._main_view(width)
         if len(view.rowids):
-            seq_main = Sequence(view.rowids, view.points, width)
+            seq_main = Sequence(view.rowids, view.points, width,
+                                cells=view.cells)
             join_sequences(seq_main, seq_main, ctx)
         seq_delta = self._delta_sequence(width)
         if seq_delta is not None:
@@ -910,7 +924,8 @@ class EGOStore:
                                              d_pts.max(axis=0) + eps)
                 if hi > lo:
                     seq_slice = Sequence(view.rowids[lo:hi],
-                                         view.points[lo:hi], width)
+                                         view.points[lo:hi], width,
+                                         cells=view.cells[lo:hi])
                     join_sequences(seq_slice, seq_delta, ctx)
         return result
 
@@ -924,16 +939,15 @@ class EGOStore:
         # Queries get negative pseudo-ids, disjoint from rowids, so
         # each result pair identifies its query by sign.
         qids = -np.arange(1, m + 1, dtype=np.int64)
-        order = ego_sort_order(qs, width, qids)
-        seq_q = Sequence(qids[order], np.ascontiguousarray(qs[order]),
-                         width)
+        seq_q = _sorted_sequence(qids, qs, width)
         view = self._main_view(width)
         if len(view.rowids):
             lo, hi = self._main_interval(view, qs.min(axis=0) - eps,
                                          qs.max(axis=0) + eps)
             if hi > lo:
                 seq_slice = Sequence(view.rowids[lo:hi],
-                                     view.points[lo:hi], width)
+                                     view.points[lo:hi], width,
+                                     cells=view.cells[lo:hi])
                 join_sequences(seq_slice, seq_q, ctx)
         seq_delta = self._delta_sequence(width)
         if seq_delta is not None:

@@ -15,7 +15,10 @@ paper proves but the code can only honour by construction:
   sequences (interval disjointness or the inactive-dimension rule of
   Section 3.3), those sequences must genuinely contain no join pair;
 * **leaf exactness** — the pairs a leaf kernel emits are exactly the
-  pairs within ε of the compared slices.
+  pairs within ε of the compared slices;
+* **cell consistency** — grid cells a caller hands to the join (the
+  scheduler's resident per-unit cells) are the cells of the points
+  they travel with.
 
 An :class:`InvariantMonitor` holds the hooks; it is created by
 ``JoinContext(invariants=True)`` and threaded through the scheduler,
@@ -88,6 +91,7 @@ class InvariantMonitor:
         # Sequence-join accounting.
         self.prune_checks = 0
         self.leaf_checks = 0
+        self.cell_checks = 0
         self.skipped_checks = 0
 
     # -- buffer pool ---------------------------------------------------------
@@ -196,6 +200,30 @@ class InvariantMonitor:
                 f"a {len(s)}×{len(t)} leaf: {len(want - got)} missing, "
                 f"{len(got - want)} spurious")
 
+    def check_cells(self, points: np.ndarray, cells: np.ndarray,
+                    epsilon: float) -> None:
+        """Supplied cells must equal ``grid_cells(points, ε)`` exactly.
+
+        The recursion prunes and windows on carried cells without ever
+        looking at coordinates again, so a stale or mis-sized cell array
+        would silently drop pairs.
+        """
+        from ..core.ego_order import grid_cells
+
+        self.cell_checks += 1
+        want = grid_cells(points, epsilon)
+        if cells.shape != want.shape:
+            raise InvariantViolation(
+                f"supplied cells have shape {cells.shape}, points need "
+                f"{want.shape}")
+        bad = np.argwhere(cells != want)
+        if len(bad):
+            row, dim = (int(x) for x in bad[0])
+            raise InvariantViolation(
+                f"{len(bad)} supplied grid cell(s) disagree with the "
+                f"points at ε={epsilon}, e.g. row {row} dim {dim}: "
+                f"{int(cells[row, dim])} != {int(want[row, dim])}")
+
     # -- reporting -----------------------------------------------------------
 
     def summary(self) -> str:
@@ -205,6 +233,7 @@ class InvariantMonitor:
                 f"{self.pin_events}/{self.unpin_events} pin/unpin, "
                 f"{self.prune_checks} prune checks, "
                 f"{self.leaf_checks} leaf checks, "
+                f"{self.cell_checks} cell checks, "
                 f"{self.skipped_checks} skipped")
 
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ego_order, kernels
 from repro.core.ego_join import (ego_join, ego_self_join,
                                  ego_self_join_file)
 from repro.core.result import JoinResult
+from repro.core.scheduler import EGOScheduler
+from repro.data.synthetic import cad_like
 from repro.storage.disk import SimulatedDisk
+from repro.storage.records import record_size
 from repro.storage.stats import CPUCounters
 
 from conftest import brute_truth, make_file
@@ -162,3 +166,48 @@ class TestExternalSelfJoin:
             report = ego_self_join_file(pf, 0.1, unit_bytes=128,
                                         buffer_units=2)
             assert report.result.count == 10 * 9 // 2 + 5 * 4 // 2
+
+
+class TestCellReuse:
+    """ε-grid cells are computed once per loaded unit and then sliced.
+
+    The recursion's sub-sequences, its pruning tests and the leaf
+    candidate windows all read the resident unit's cell array, so the
+    schedule phase maps coordinates to cells once per physical unit
+    load — not once per sequence pair the recursion visits.
+    """
+
+    def test_schedule_cell_calls_bounded_by_unit_loads(self, monkeypatch):
+        calls = {"sort": 0, "schedule": 0}
+        phase = ["sort"]
+        real_floor = ego_order.floor_cells
+
+        def counting_floor(values, width):
+            calls[phase[0]] += 1
+            return real_floor(values, width)
+
+        real_run = EGOScheduler.run
+
+        def phased_run(self):
+            phase[0] = "schedule"
+            return real_run(self)
+
+        monkeypatch.setattr(ego_order, "floor_cells", counting_floor)
+        monkeypatch.setattr(kernels, "floor_cells", counting_floor)
+        monkeypatch.setattr(EGOScheduler, "run", phased_run)
+        pts = cad_like(1200, 16, seed=1)
+        eps = 0.1
+        rec = record_size(16)
+        with SimulatedDisk() as disk:
+            pf = make_file(disk, pts)
+            report = ego_self_join_file(pf, eps, unit_bytes=16 * rec,
+                                        buffer_units=8, engine="auto")
+        loads = report.schedule_stats.total_unit_loads
+        assert calls["sort"] > 0
+        assert 0 < calls["schedule"] <= loads
+        # The recursion visits far more sequence pairs than there are
+        # unit loads; per-pair cell work would blow straight past the
+        # bound above.
+        assert report.cpu.sequence_pairs > 2 * loads
+        want = ego_self_join(pts, eps).canonical_pair_set()
+        assert report.result.canonical_pair_set() == want

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.ego_order import ego_sorted
+from repro.core.ego_order import ego_sorted, grid_cells
+from repro.core.kernels import candidate_windows
 from repro.core.sequence import Sequence
+from repro.verify.workloads import generate_workload
 
 
 def seq_of(points, epsilon):
@@ -113,3 +116,97 @@ class TestSameStorage:
         a = Sequence(ids, pts, 0.5)
         b = Sequence(ids.copy(), pts.copy(), 0.5)
         assert not a.same_storage(b)
+
+
+# -- carried cells -----------------------------------------------------------
+
+
+#: Data shapes for the carried-cell property: the translated, negative
+#: and large-magnitude kinds put cell boundaries where ``k·ε`` is not
+#: representable, which is where a re-derived floor could disagree.
+CELL_KINDS = ("uniform", "translated", "negative", "large", "boundary")
+
+
+def _cell_points(kind, n, d, eps, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "boundary":
+        return generate_workload("boundary", n, d, eps, seed).points
+    pts = rng.random((n, d))
+    if kind == "translated":
+        return pts + 1234.5678
+    if kind == "negative":
+        return -3.0 * pts - 0.7
+    if kind == "large":
+        return pts * 1e3 + 1e9
+    return pts
+
+
+def _sub_sequences(seq, rng, depth=0):
+    """A random descent through the three split rules.
+
+    Yields every child that halving, a random ``split_at`` and
+    ``boundary_split_point`` make at each level, recursing into one.
+    """
+    yield seq
+    if len(seq) < 2 or depth > 12:
+        return
+    children = [seq.first_half(), seq.second_half()]
+    children.extend(seq.split_at(int(rng.integers(1, len(seq)))))
+    point = seq.boundary_split_point()
+    if 0 < point < len(seq):
+        children.extend(seq.split_at(point))
+    pick = children[int(rng.integers(0, len(children)))]
+    yield from _sub_sequences(pick, rng, depth + 1)
+    for child in children:
+        yield child
+
+
+class TestCarriedCells:
+    def test_cells_computed_when_missing(self, rng):
+        s = seq_of(rng.random((9, 3)), 0.3)
+        np.testing.assert_array_equal(s.cells, grid_cells(s.points, 0.3))
+
+    def test_supplied_cells_are_used(self, rng):
+        ids, pts = ego_sorted(rng.random((6, 2)), 0.5)
+        cells = grid_cells(pts, 0.5)
+        s = Sequence(ids, pts, 0.5, cells=cells)
+        assert s.cells is cells
+        assert np.shares_memory(s.first_half().cells, cells)
+
+    def test_rejects_mis_shaped_cells(self, rng):
+        ids, pts = ego_sorted(rng.random((6, 2)), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            Sequence(ids, pts, 0.5, cells=grid_cells(pts[:5], 0.5))
+
+    def test_empty_slice_rejected(self, rng):
+        s = seq_of(rng.random((4, 2)), 0.5)
+        with pytest.raises(ValueError):
+            s.slice(2, 2)
+
+    @given(st.sampled_from(CELL_KINDS), st.integers(2, 120),
+           st.integers(1, 4), st.sampled_from((0.05, 0.1, 0.3, 1.0 / 3)),
+           st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_sub_sequence_cells_match_points(self, kind, n, d, eps, seed):
+        pts = _cell_points(kind, n, d, eps, seed)
+        ids, pts = ego_sorted(pts, eps)
+        rng = np.random.default_rng(seed)
+        root = Sequence(ids, pts, eps)
+        subs = list(_sub_sequences(root, rng))
+        for sub in subs:
+            np.testing.assert_array_equal(sub.cells,
+                                          grid_cells(sub.points, eps))
+            np.testing.assert_array_equal(sub.first_cells,
+                                          grid_cells(sub.points[0], eps))
+            np.testing.assert_array_equal(sub.last_cells,
+                                          grid_cells(sub.points[-1], eps))
+        for s, t in zip(subs, subs[1:] + subs[:1]):
+            wdim = t.active_dimension()
+            if wdim is None:
+                continue
+            plain = candidate_windows(s.points, t.points, wdim, eps)
+            carried = candidate_windows(s.points, t.points, wdim, eps,
+                                        cells_a=s.cells[:, wdim],
+                                        cells_b=t.cells[:, wdim])
+            np.testing.assert_array_equal(plain[0], carried[0])
+            np.testing.assert_array_equal(plain[1], carried[1])

@@ -17,10 +17,10 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import sequence_join
 from repro.core.ego_join import ego_self_join
-from repro.core.ego_order import lex_less
+from repro.core.ego_order import grid_cells, lex_less
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler, UnitMeta
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, join_point_blocks
 from repro.verify import (
     DEFAULT_CONFIGS,
     REGISTRY,
@@ -295,6 +295,25 @@ class TestMutationSmoke:
             run_impl("ego_external", wl.points, EPS, storage="plain",
                      invariants=True)
 
+    def test_planted_wrong_cells_caught_by_invariants(self, monkeypatch):
+        real_load = EGOScheduler._load_unit
+
+        def load_with_stale_cells(self, ordinal):
+            ids, points, cells = real_load(self, ordinal)
+            # Mutation: one interior row's cells shifted by one, as in a
+            # cell array that drifted out of step with its points.
+            if len(cells) > 2:
+                cells = cells.copy()
+                cells[1] = cells[1] + 1
+            return ids, points, cells
+
+        monkeypatch.setattr(EGOScheduler, "_load_unit",
+                            load_with_stale_cells)
+        wl = generate_workload("uniform", 120, 3, EPS, seed=3)
+        with pytest.raises(InvariantViolation, match="supplied grid cell"):
+            run_impl("ego_external", wl.points, EPS, storage="plain",
+                     invariants=True)
+
 
 # -- invariant monitor -------------------------------------------------------
 
@@ -349,6 +368,25 @@ class TestInvariantMonitor:
             monitor.check_interval_coverage(meta, 2)
         monitor.note_unit_pair(0, 1)
         monitor.check_interval_coverage(meta, 2)
+
+    def test_supplied_cells_checked(self):
+        pts = np.array([[0.10, 0.20], [0.30, 0.60], [0.55, 0.90]])
+        ids = np.arange(3)
+        cells = grid_cells(pts, EPS)
+        monitor = InvariantMonitor()
+        monitor.check_cells(pts, cells, EPS)
+        assert monitor.cell_checks == 1
+        wrong = cells.copy()
+        wrong[2, 1] -= 1
+        with pytest.raises(InvariantViolation,
+                           match="row 2 dim 1: 2 != 3"):
+            monitor.check_cells(pts, wrong, EPS)
+        with pytest.raises(InvariantViolation, match="shape"):
+            monitor.check_cells(pts, cells[:2], EPS)
+        ctx = JoinContext(epsilon=EPS, result=JoinResult(), invariants=True)
+        with pytest.raises(InvariantViolation, match="supplied grid cell"):
+            join_point_blocks(ids, pts, ids, pts, ctx, same_block=True,
+                              cells_a=wrong, cells_b=wrong)
 
     def test_clean_run_matches_baseline(self):
         wl = generate_workload("clusters", 60, 3, EPS, seed=4)

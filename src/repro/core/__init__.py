@@ -14,8 +14,7 @@ from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
                       pairs_within_matmul, select_engine)
 from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                       get_metric)
-from .parallel import (ParallelUnitJoiner, SerialUnitJoiner,
-                       ego_self_join_parallel)
+from .parallel import SerialUnitJoiner, ego_self_join_parallel
 from .query import EGOIndex
 from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
@@ -31,7 +30,6 @@ __all__ = [
     "ENGINES",
     "EXCLUSION_CELL_DISTANCE",
     "EGOIndex",
-    "ParallelUnitJoiner",
     "ScratchBuffers",
     "SerialUnitJoiner",
     "EGOScheduler",

@@ -14,23 +14,21 @@ workers return id-pair arrays.  With ``workers=1`` everything runs
 inline, which the tests use to check the decomposition independently of
 the pool.
 
-The same decomposition carries into the external pipeline:
-:class:`ParallelUnitJoiner` joins the I/O scheduler's loaded unit pairs
-on a process pool while the scheduler keeps streaming loads, merging
-worker results in task-submission order so the emitted pair stream — and
-therefore the durable pair file and the checkpoint journal of a
-checkpointed run — is byte-identical to the serial schedule.
+The external pipeline parallelises at the granularity of the I/O
+scheduler's loaded unit pairs instead: :class:`SerialUnitJoiner` here is
+its inline reference, and
+:class:`~repro.core.supervisor.SupervisedUnitJoiner` joins the same unit
+pairs on a fault-tolerant process pool, merging results in submission
+order so the pair stream is byte-identical to the serial schedule.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import fields as dataclass_fields
-from typing import Callable, Dict, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..storage.stats import CPUCounters
 from .ego_order import (ego_sorted, ensure_finite, grid_cells,
                         lex_less, validate_epsilon)
 from .result import JoinResult
@@ -164,71 +162,7 @@ def ego_self_join_parallel(points: np.ndarray, epsilon: float,
     return result
 
 
-# -- parallel unit-pair join for the external pipeline ----------------------
-#
-# ``_init_unit_worker`` / ``_run_unit_pair`` are the per-process seam of
-# the external join: the supervised pool (:mod:`repro.core.supervisor`)
-# and the shard workers (:mod:`repro.core.shard`) both initialise and
-# call them, so every execution mode joins a loaded unit pair with the
-# exact same kernel and returns batches in the same deterministic order.
-
-#: Per-process join parameters for unit-pair workers.
-_UNIT_STATE: dict = {}
-
-
-def _init_unit_worker(epsilon: float, minlen: int, engine: str,
-                      order_dimensions: bool, metric,
-                      grid_epsilon: float, collect_distances: bool,
-                      split_strategy: str,
-                      collect_metrics: bool = False,
-                      batch_points=None, batch_leaves=None) -> None:
-    _UNIT_STATE.update(epsilon=epsilon, minlen=minlen, engine=engine,
-                       order_dimensions=order_dimensions, metric=metric,
-                       grid_epsilon=grid_epsilon,
-                       collect_distances=collect_distances,
-                       split_strategy=split_strategy,
-                       collect_metrics=collect_metrics,
-                       batch_points=batch_points,
-                       batch_leaves=batch_leaves)
-
-
-def _run_unit_pair(ids_a: np.ndarray, pts_a: np.ndarray,
-                   ids_b: Optional[np.ndarray],
-                   pts_b: Optional[np.ndarray]):
-    """Join one loaded unit pair in a worker process.
-
-    ``ids_b is None`` marks the self-join of one unit with itself.
-    Returns the pair batch (in the deterministic recursion order of the
-    serial join), optional distances, this task's CPU-counter deltas,
-    and — when the parent collects metrics — a metrics snapshot, all
-    for the parent to merge in submission order.
-    """
-    cpu = CPUCounters()
-    metrics = None
-    if _UNIT_STATE.get("collect_metrics"):
-        from ..obs.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-    result = JoinResult(materialize=True,
-                        collect_distances=_UNIT_STATE["collect_distances"])
-    ctx = JoinContext(epsilon=_UNIT_STATE["epsilon"], result=result,
-                      minlen=_UNIT_STATE["minlen"],
-                      engine=_UNIT_STATE["engine"],
-                      order_dimensions=_UNIT_STATE["order_dimensions"],
-                      cpu=cpu, metric=_UNIT_STATE["metric"],
-                      grid_epsilon=_UNIT_STATE["grid_epsilon"],
-                      split_strategy=_UNIT_STATE["split_strategy"],
-                      batch_points=_UNIT_STATE.get("batch_points"),
-                      batch_leaves=_UNIT_STATE.get("batch_leaves"),
-                      metrics=metrics)
-    if ids_b is None:
-        join_point_blocks(ids_a, pts_a, ids_a, pts_a, ctx,
-                          same_block=True)
-    else:
-        join_point_blocks(ids_a, pts_a, ids_b, pts_b, ctx)
-    out_a, out_b = result.pairs()
-    dists = result.distances() if result.collect_distances else None
-    metrics_data = metrics.collect() if metrics is not None else None
-    return out_a, out_b, dists, cpu, metrics_data
+# -- serial unit-pair joiner for the external pipeline ---------------------
 
 
 class SerialUnitJoiner:
@@ -268,101 +202,3 @@ class SerialUnitJoiner:
 
     def close(self) -> None:
         """Nothing to release."""
-
-
-class ParallelUnitJoiner:
-    """Joins scheduled unit pairs on a process pool, merging in order.
-
-    The I/O scheduler submits each unit pair as its data becomes
-    resident and keeps streaming loads; workers compute the pair batches
-    and the parent merges them back **in submission order**, so the
-    result stream (pair file bytes, journal watermarks, completion
-    callbacks) is byte-identical to the serial run.  ``max_pending``
-    bounds the number of in-flight tasks — each holds a copy of its unit
-    arrays — by blocking submission on the oldest outstanding result,
-    which keeps memory proportional to the pool size, not the schedule
-    length.
-    """
-
-    def __init__(self, ctx: JoinContext, workers: int,
-                 max_pending: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.ctx = ctx
-        self.workers = workers
-        self.max_pending = max_pending if max_pending else workers * 4
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
-        metric = ctx.metric if ctx.metric.name != "euclidean" else None
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_unit_worker,
-            initargs=(ctx.epsilon, ctx.minlen, ctx.engine,
-                      ctx.order_dimensions, metric, ctx.grid_epsilon,
-                      ctx.result.collect_distances, ctx.split_strategy,
-                      bool(ctx.metrics.enabled),
-                      ctx.batch_points, ctx.batch_leaves))
-        self._next_submit = 0
-        self._next_emit = 0
-        self._pending: Dict[int, Tuple[Future,
-                                       Optional[Callable[[], None]]]] = {}
-
-    def __enter__(self) -> "ParallelUnitJoiner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
-               ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
-               on_complete: Optional[Callable[[], None]] = None,
-               key: Optional[Tuple[int, int]] = None,
-               cells_a: Optional[np.ndarray] = None,
-               cells_b: Optional[np.ndarray] = None) -> None:
-        """Queue one unit pair; emits any results that are ready in order.
-
-        Cells are not shipped: pickling them would double each task's
-        payload, and the worker computes them once per block anyway.
-        """
-        fut = self._pool.submit(_run_unit_pair, ids_a, pts_a, ids_b, pts_b)
-        self._pending[self._next_submit] = (fut, on_complete)
-        self._next_submit += 1
-        self._emit_ready(block=len(self._pending) >= self.max_pending)
-
-    def _emit_ready(self, block: bool = False) -> None:
-        """Fold completed results into the context, oldest first.
-
-        Results are only ever consumed at the head of the submission
-        order; a completed task behind a still-running one waits, which
-        is what makes the merged stream deterministic.
-        """
-        while self._next_emit in self._pending:
-            fut, on_complete = self._pending[self._next_emit]
-            if not (block or fut.done()):
-                break
-            ids_a, ids_b, dists, cpu, metrics_data = fut.result()
-            del self._pending[self._next_emit]
-            self._next_emit += 1
-            if self.ctx.cpu is not None:
-                for f in dataclass_fields(cpu):
-                    setattr(self.ctx.cpu, f.name,
-                            getattr(self.ctx.cpu, f.name)
-                            + getattr(cpu, f.name))
-            # Worker metric deltas fold in submission order, the same
-            # order the serial joiner records them inline — counters and
-            # histograms are additive, so the merged registry is
-            # identical whichever workers computed the deltas.
-            if metrics_data:
-                self.ctx.metrics.merge(metrics_data)
-            self.ctx.result.add_batch(ids_a, ids_b, distances=dists)
-            if on_complete is not None:
-                on_complete()
-            block = len(self._pending) >= self.max_pending
-
-    def drain(self) -> None:
-        """Block until every queued unit pair has been merged."""
-        while self._pending:
-            self._emit_ready(block=True)
-
-    def close(self) -> None:
-        """Shut the pool down, abandoning any not-yet-started tasks."""
-        self._pool.shutdown(wait=True, cancel_futures=True)

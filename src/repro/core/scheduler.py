@@ -132,10 +132,11 @@ class EGOScheduler:
     unit_joiner:
         Execution backend for the unit-pair joins.  ``None`` joins each
         pair inline; a
-        :class:`~repro.core.parallel.ParallelUnitJoiner` computes pairs
-        on a process pool while the scheduler keeps streaming loads,
-        merging results (and firing ``pair_complete``) in submission
-        order so the output stream is identical to the inline run.
+        :class:`~repro.core.supervisor.SupervisedUnitJoiner` computes
+        pairs on a process pool while the scheduler keeps streaming
+        loads, merging results (and firing ``pair_complete``) in
+        submission order so the output stream is identical to the
+        inline run.
 
     The scheduler also degrades gracefully under storage pressure: when
     the file's disk exposes a true ``under_pressure`` attribute (see
@@ -168,10 +169,6 @@ class EGOScheduler:
         self.unit_joiner = unit_joiner
         self.stats = ScheduleStats()
         self.meta: Dict[int, UnitMeta] = {}
-        # Records per unit ordinal, filled on first load.  The shard
-        # planner (repro.core.shard) reads this after a planning run to
-        # estimate per-unit candidate volume without re-reading the file.
-        self.unit_records: Dict[int, int] = {}
         # The invariant monitor (ctx.invariants) watches gallop loads,
         # joined unit pairs and buffer pins.  The thrashing variant
         # (allow_crabstep=False) deliberately violates read-once, so the
@@ -247,7 +244,6 @@ class EGOScheduler:
             ends = cells[[0, -1]]
             self.meta[ordinal] = UnitMeta(first_cells=ends[0],
                                           last_cells=ends[1])
-        self.unit_records.setdefault(ordinal, len(ids))
         return ids, points, cells
 
     def _needed(self, unit: int, frontier: int) -> bool:

@@ -1,13 +1,13 @@
 """Resilient supervisor for the parallel unit-pair join.
 
-:class:`~repro.core.parallel.ParallelUnitJoiner` assumes every worker
-succeeds: one crashed process breaks the whole pool, one hung worker
-deadlocks the merge loop, and a corrupted result would be folded into
-the output silently.  For a join that is supposed to run for hours over
-massive data — and for the sharded/distributed direction of the roadmap,
-where an executor living on another machine *will* die eventually —
-per-task fault tolerance is the missing substrate.  This module provides
-it:
+This is the external pipeline's only parallel executor
+(``ego_self_join_file(..., workers=k)``).  A bare process pool assumes
+every worker succeeds: one crashed process breaks the whole pool, one
+hung worker deadlocks the merge loop, and a corrupted result would be
+folded into the output silently.  For a join that is supposed to run
+for hours over massive data, per-task fault tolerance is the missing
+substrate.  This module provides it, as the codebase's one retry
+ladder:
 
 * **bounded retries with deterministic backoff** — a failed task is
   resubmitted up to ``max_task_retries`` times; the backoff before each
@@ -35,7 +35,7 @@ it:
   (and the CLI via exit code 3) reports the degradation instead of the
   user losing hours of work to an executor bug.
 
-Results are still merged strictly in submission order, so the emitted
+Results are merged strictly in submission order, so the emitted
 pair stream — durable pair file bytes, journal watermarks, metrics merge
 order — remains byte-identical to the serial join no matter which
 faults fired.
@@ -63,11 +63,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import ensure_metrics
+from ..obs.metrics import MetricsRegistry, ensure_metrics
 from ..storage.faults import (InjectedTaskError, WorkerFaultPlan,
                               stable_fraction)
 from ..storage.stats import CPUCounters
-from .parallel import _UNIT_STATE, _init_unit_worker, _run_unit_pair
 from .result import JoinResult
 from .sequence_join import JoinContext, join_point_blocks
 
@@ -109,7 +108,7 @@ class SupervisorPolicy:
     declaring its worker hung.  It is the only wall-clock quantity in
     the supervisor, used for detection only — nothing derived from it is
     recorded.  ``None`` disables hang detection (a genuinely hung worker
-    then blocks forever, as the unsupervised joiner would).
+    then blocks the merge forever).
 
     ``backoff`` before retry ``k`` of a task is
     ``backoff_base_s · backoff_factor^(k-1) · (0.5 + u)`` with ``u``
@@ -145,6 +144,9 @@ class SupervisorPolicy:
         if self.backoff_base_s < 0.0 or self.backoff_factor < 1.0:
             raise ValueError("backoff_base_s must be >= 0 and "
                              "backoff_factor >= 1")
+        if self.max_sleep_s < 0.0:
+            raise ValueError(
+                f"max_sleep_s must be >= 0, got {self.max_sleep_s}")
 
 
 def backoff_for(policy: SupervisorPolicy, key: Tuple[int, int],
@@ -226,6 +228,46 @@ def replay_stats(events: Iterable[Tuple[str, int, int, int]],
 # -- worker side ------------------------------------------------------------
 
 
+#: Per-process state installed by :func:`_init_unit_worker`: the
+#: :class:`JoinContext` keyword arguments, result/metrics collection
+#: flags and the run's worker fault plan.
+_UNIT_STATE: dict = {}
+
+
+def _init_unit_worker(ctx_kwargs: dict, collect_distances: bool,
+                      collect_metrics: bool,
+                      worker_plan: Optional[WorkerFaultPlan]) -> None:
+    _UNIT_STATE.update(ctx_kwargs=ctx_kwargs,
+                       collect_distances=collect_distances,
+                       collect_metrics=collect_metrics,
+                       worker_plan=worker_plan)
+
+
+def _run_unit_pair(payload: tuple, collect_distances: bool, **ctx_kwargs):
+    """Join one loaded unit pair into a fresh result.
+
+    ``payload`` is ``(ids_a, pts_a, ids_b, pts_b)``; ``ids_b is None``
+    marks the self-join of one unit with itself.  Returns the pair batch
+    (in the deterministic recursion order of the serial join), optional
+    distances and this task's CPU-counter deltas, for the parent to
+    merge in submission order.  Workers and the parent's inline retries
+    both join through here, so every rung of the ladder runs the same
+    kernel.
+    """
+    ids_a, pts_a, ids_b, pts_b = payload
+    cpu = CPUCounters()
+    result = JoinResult(materialize=True,
+                        collect_distances=collect_distances)
+    ctx = JoinContext(result=result, cpu=cpu, **ctx_kwargs)
+    if ids_b is None:
+        join_point_blocks(ids_a, pts_a, ids_a, pts_a, ctx, same_block=True)
+    else:
+        join_point_blocks(ids_a, pts_a, ids_b, pts_b, ctx)
+    out_a, out_b = result.pairs()
+    dists = result.distances() if collect_distances else None
+    return out_a, out_b, dists, cpu
+
+
 def _result_digest(out_a: np.ndarray, out_b: np.ndarray,
                    dists: Optional[np.ndarray]) -> int:
     """CRC32 digest of one task's result batch (order-sensitive)."""
@@ -236,27 +278,15 @@ def _result_digest(out_a: np.ndarray, out_b: np.ndarray,
     return h
 
 
-#: Public alias: the sharded join (repro.core.shard) digests per-event
-#: results with the same CRC so its corruption detection matches the
-#: supervised pool's.
-result_digest = _result_digest
-
-
-def _init_supervised_worker(init_args: tuple,
-                            worker_plan: Optional[WorkerFaultPlan]) -> None:
-    _init_unit_worker(*init_args)
-    _UNIT_STATE["worker_plan"] = worker_plan
-
-
 def _run_supervised_task(key: Tuple[int, int], attempt: int,
-                         ids_a, pts_a, ids_b, pts_b):
+                         payload: tuple):
     """Worker entry point: fault adjudication, the join, and a digest.
 
     Returns ``(out_a, out_b, dists, cpu, metrics_data, digest)``.  The
     digest is computed *before* any injected corruption, so a corrupted
     batch always mismatches in the parent.
     """
-    plan: Optional[WorkerFaultPlan] = _UNIT_STATE.get("worker_plan")
+    plan: Optional[WorkerFaultPlan] = _UNIT_STATE["worker_plan"]
     fault = plan.decide(key, attempt) if plan is not None else None
     if fault == "crash":
         # A hard exit, not an exception: the parent must see a broken
@@ -267,8 +297,11 @@ def _run_supervised_task(key: Tuple[int, int], attempt: int,
     elif fault == "error":
         raise InjectedTaskError(
             f"injected task error for unit pair {key} attempt {attempt}")
-    out_a, out_b, dists, cpu, metrics_data = _run_unit_pair(
-        ids_a, pts_a, ids_b, pts_b)
+    metrics = MetricsRegistry() if _UNIT_STATE["collect_metrics"] else None
+    out_a, out_b, dists, cpu = _run_unit_pair(
+        payload, _UNIT_STATE["collect_distances"], metrics=metrics,
+        **_UNIT_STATE["ctx_kwargs"])
+    metrics_data = metrics.collect() if metrics is not None else None
     digest = _result_digest(out_a, out_b, dists)
     if fault == "corrupt":
         if out_a.size:
@@ -304,16 +337,21 @@ class _Task:
 
 
 class SupervisedUnitJoiner:
-    """A :class:`~repro.core.parallel.ParallelUnitJoiner` that survives
-    its pool.
+    """Joins scheduled unit pairs on a process pool that survives faults.
 
     Drop-in execution backend for
-    :class:`~repro.core.scheduler.EGOScheduler`: same ``submit`` /
-    ``drain`` / ``close`` protocol, same submission-order merging, same
-    byte-identical output — plus the retry/deadline/degradation ladder
-    described in the module docstring.  With no faults and the default
-    policy it behaves exactly like the unsupervised joiner (one extra
-    CRC per task).
+    :class:`~repro.core.scheduler.EGOScheduler`, with the same
+    ``submit`` / ``drain`` / ``close`` protocol as
+    :class:`~repro.core.parallel.SerialUnitJoiner`.  The scheduler
+    submits each unit pair as its data becomes resident and keeps
+    streaming loads; workers compute the pair batches and the parent
+    merges them back **in submission order**, so the result stream
+    (pair file bytes, journal watermarks, completion callbacks) is
+    byte-identical to the serial run.  At most ``4 × workers`` tasks are
+    in flight — each holds a copy of its unit arrays — so memory stays
+    proportional to the pool size, not the schedule length.  Failures
+    walk the retry/deadline/degradation ladder described in the module
+    docstring.
 
     Parameters
     ----------
@@ -341,7 +379,6 @@ class SupervisedUnitJoiner:
     def __init__(self, ctx: JoinContext, workers: int,
                  policy: Optional[SupervisorPolicy] = None,
                  worker_plan: Optional[WorkerFaultPlan] = None,
-                 max_pending: Optional[int] = None,
                  decision_hook: Optional[
                      Callable[[str, Tuple[int, int], int], None]] = None,
                  replay_events: Iterable[
@@ -352,20 +389,18 @@ class SupervisedUnitJoiner:
         self.workers = workers
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.worker_plan = worker_plan
-        self.max_pending = max_pending if max_pending else workers * 4
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
+        self.max_pending = workers * 4
         self.stats = SupervisorStats()
         self._decision_hook = decision_hook
         self._metrics = ensure_metrics(getattr(ctx, "metrics", None))
         self._m_events = None  # registered lazily: a fault-free run's
         self._m_degraded = None  # metrics dump must match the serial one
         metric = ctx.metric if ctx.metric.name != "euclidean" else None
-        self._init_args = (ctx.epsilon, ctx.minlen, ctx.engine,
-                           ctx.order_dimensions, metric, ctx.grid_epsilon,
-                           ctx.result.collect_distances, ctx.split_strategy,
-                           bool(self._metrics.enabled),
-                           ctx.batch_points, ctx.batch_leaves)
+        self._ctx_kwargs = dict(
+            epsilon=ctx.epsilon, minlen=ctx.minlen, engine=ctx.engine,
+            order_dimensions=ctx.order_dimensions, metric=metric,
+            grid_epsilon=ctx.grid_epsilon, split_strategy=ctx.split_strategy,
+            batch_points=ctx.batch_points, batch_leaves=ctx.batch_leaves)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
         self._next_submit = 0
@@ -385,8 +420,9 @@ class SupervisedUnitJoiner:
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=_init_supervised_worker,
-            initargs=(self._init_args, self.worker_plan))
+            initializer=_init_unit_worker,
+            initargs=(self._ctx_kwargs, self.ctx.result.collect_distances,
+                      bool(self._metrics.enabled), self.worker_plan))
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -509,7 +545,7 @@ class SupervisedUnitJoiner:
         task.future = None
         try:
             task.future = self._ensure_pool().submit(
-                _run_supervised_task, task.key, task.attempt, *task.payload)
+                _run_supervised_task, task.key, task.attempt, task.payload)
             return True
         except BrokenExecutor:
             return False
@@ -526,11 +562,11 @@ class SupervisedUnitJoiner:
     def _advance(self, block: bool) -> None:
         """Fold completed results into the context, oldest first.
 
-        As in the unsupervised joiner, results are only consumed at the
-        head of the submission order — that is what keeps the merged
-        stream deterministic.  All failure handling therefore happens at
-        the head too, which serialises supervisor decisions into one
-        deterministic order.
+        Results are only consumed at the head of the submission order; a
+        completed task behind a still-running one waits, which is what
+        keeps the merged stream deterministic.  All failure handling
+        therefore happens at the head too, which serialises supervisor
+        decisions into one deterministic order.
         """
         while self._next_emit in self._pending:
             task = self._pending[self._next_emit]
@@ -629,29 +665,13 @@ class SupervisedUnitJoiner:
             raise InjectedTaskError(
                 f"injected task error for unit pair {task.key} "
                 f"attempt {task.attempt} (inline)")
-        ctx = self.ctx
-        result = JoinResult(materialize=True,
-                            collect_distances=ctx.result.collect_distances)
-        cpu = CPUCounters()
-        inline_ctx = JoinContext(
-            epsilon=ctx.epsilon, result=result, minlen=ctx.minlen,
-            engine=ctx.engine, order_dimensions=ctx.order_dimensions,
-            cpu=cpu, metric=ctx.metric, grid_epsilon=ctx.grid_epsilon,
-            split_strategy=ctx.split_strategy, invariants=invariants,
-            batch_points=ctx.batch_points, batch_leaves=ctx.batch_leaves,
-            metrics=ctx.metrics)
-        ids_a, pts_a, ids_b, pts_b = task.payload
-        if ids_b is None:
-            join_point_blocks(ids_a, pts_a, ids_a, pts_a, inline_ctx,
-                              same_block=True)
-        else:
-            join_point_blocks(ids_a, pts_a, ids_b, pts_b, inline_ctx)
-        out_a, out_b = result.pairs()
-        dists = result.distances() if result.collect_distances else None
-        # Metrics were recorded straight into the parent registry (we
-        # are at the head of the merge order, so the ordering matches
-        # the serial joiner); no snapshot to merge.
-        return out_a, out_b, dists, cpu, None
+        # Metrics are recorded straight into the parent registry (we are
+        # at the head of the merge order, so the ordering matches the
+        # serial joiner); no snapshot to merge.
+        out = _run_unit_pair(task.payload, self.ctx.result.collect_distances,
+                             invariants=invariants, metrics=self.ctx.metrics,
+                             **self._ctx_kwargs)
+        return out + (None,)
 
     def _finish_inline(self, task: _Task):
         """Drain one task in the parent: the bottom of the ladder.

@@ -187,8 +187,7 @@ class FaultPlan:
         :meth:`begin_pressure_scope` call, so pressure windows describe
         positions *within a run* rather than absolute positions in the
         plan's lifetime — without the re-basing, a plan reused for
-        back-to-back runs (or shared across concurrent per-shard pools)
-        would leak one run's window into the next.
+        back-to-back runs would leak one run's window into the next.
         """
         op = self._op - self._pressure_base
         return any(a <= op < b for a, b in self.pressure_ranges)

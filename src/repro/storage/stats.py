@@ -156,8 +156,8 @@ class IOScope:
             if reset is not None:
                 reset()
             # Fault layers carry run-relative pressure windows; re-base
-            # them here so a plan reused across back-to-back runs (or
-            # shared by per-shard pools) scopes its windows to this run.
+            # them here so a plan reused across back-to-back runs
+            # scopes its windows to this run.
             pressure = getattr(disk, "begin_pressure_scope", None)
             if pressure is not None:
                 pressure()

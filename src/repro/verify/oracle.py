@@ -57,8 +57,7 @@ from .canonical import PairSetDiff, canonical_pairs, diff_pairs
 OracleFn = Callable[..., np.ndarray]
 
 #: Storage wrappers the external pipeline can run under.
-STORAGE_MODES = ("plain", "checksummed", "crash_resume", "worker_faults",
-                 "sharded")
+STORAGE_MODES = ("plain", "checksummed", "crash_resume", "worker_faults")
 
 
 @dataclass
@@ -165,15 +164,12 @@ def _write_point_file(disk: SimulatedDisk, points: np.ndarray,
 @register("ego_external",
           options=("engine", "workers", "storage", "unit_records",
                    "buffer_units", "crash_op", "invariants",
-                   "fault_kind", "fault_seed", "shards", "shard_policy",
-                   "backend"),
+                   "fault_kind", "fault_seed"),
           external=True)
 def _ego_external(points, epsilon, ids=None, *, engine="vector",
                   workers=1, storage="plain", unit_records=24,
                   buffer_units=4, crash_op=64, invariants=False,
-                  fault_kind="mixed", fault_seed=13, shards=2,
-                  shard_policy="adaptive",
-                  backend="simulated") -> np.ndarray:
+                  fault_kind="mixed", fault_seed=13) -> np.ndarray:
     """The full external pipeline under a chosen storage wrapper.
 
     ``storage`` picks the wrapper: ``plain`` (bare simulated disk),
@@ -184,10 +180,7 @@ def _ego_external(points, epsilon, ids=None, *, engine="vector",
     (parallel join under a seeded
     :class:`~repro.storage.faults.WorkerFaultPlan` injecting worker
     crashes, corrupted task results and task errors that the supervisor
-    must absorb without changing the result) or ``sharded`` (the join
-    partitioned into ``shards`` unit-range shards joined in separate
-    processes under ``shard_policy`` against private ``backend`` disks
-    — see :mod:`repro.core.shard`).
+    must absorb without changing the result).
     """
     if storage not in STORAGE_MODES:
         raise ValueError(
@@ -206,11 +199,6 @@ def _ego_external(points, epsilon, ids=None, *, engine="vector",
             report = ego_self_join_file(
                 pf, epsilon, checksums=True,
                 retry=RetryPolicy(max_attempts=3), **common)
-            return canonical_pairs(report.result)
-        if storage == "sharded":
-            report = ego_self_join_file(
-                pf, epsilon, shards=shards, shard_policy=shard_policy,
-                backend=backend, **common)
             return canonical_pairs(report.result)
         if storage == "worker_faults":
             from ..core.supervisor import SupervisorPolicy

@@ -16,9 +16,9 @@ reasoning of the EGO join (Lemmata 2 and 3) is most fragile against:
   and interval lengths far from the uniform case;
 * ``skewed`` — one heavy cluster holding most of the points over a
   sparse uniform background: the worst case for uniform work
-  partitioning (one shard inherits nearly all candidate pairs), which
-  is what the adaptive shard planner of :mod:`repro.core.shard` must
-  rebalance;
+  partitioning (a few unit pairs carry nearly all candidate pairs), so
+  the parallel join's submission-order merge sees its most uneven task
+  costs;
 * ``store_ops`` — boundary mates planted *across* the insertion order
   (tail points against head anchors), so under the incremental store's
   churned insert sequence the delta×main candidate windows carry pairs

@@ -261,3 +261,12 @@ class TestJoinWorkerFaults:
         assert main(["join", data_file, "--epsilon", "0.2",
                      "--task-retries", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_task_timeout_exits_2(self, data_file, capsys):
+        # A negative deadline used to be mapped to "no deadline",
+        # silently turning hang detection off; 0 is the documented way.
+        assert main(["join", data_file, "--epsilon", "0.2",
+                     "--workers", "2", "--task-timeout", "-1"]) == 2
+        assert "--task-timeout" in capsys.readouterr().err
+        assert main(["join", data_file, "--epsilon", "0.2", "--count-only",
+                     "--workers", "2", "--task-timeout", "0"]) == 0

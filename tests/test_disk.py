@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.storage.backend import (BACKENDS, FileDisk, MemoryDisk,
+                                   get_backend)
 from repro.storage.disk import DiskModel, SimulatedDisk
 
 
@@ -189,4 +191,34 @@ class TestLifecycle:
         path = disk.path
         del disk._file  # simulate a partially torn-down instance
         disk.close()    # must not raise; still unlinks the temp file
+        assert not os.path.exists(path)
+
+
+class TestBackends:
+    """The pluggable backends that hold the LSH join's bucket files."""
+
+    def test_registry(self):
+        assert set(BACKENDS) == {"simulated", "file", "memory"}
+        with pytest.raises(ValueError, match="unknown storage backend"):
+            get_backend("ramdisk")
+
+    def test_memory_disk_counts_like_simulated(self):
+        md, sd = MemoryDisk(), SimulatedDisk()
+        for d in (md, sd):
+            d.write(0, b"x" * 100)       # sequential (first op at 0)
+            d.read(0, 50)                # random (arm moved by write)
+            d.read(50, 50)               # sequential
+        assert (md.counters.sequential_reads, md.counters.random_reads) \
+            == (sd.counters.sequential_reads, sd.counters.random_reads)
+        assert md.counters.bytes_written == sd.counters.bytes_written
+        assert md.simulated_time_s == 0.0
+        sd.close()
+
+    def test_file_disk_roundtrip_and_cleanup(self):
+        fd = FileDisk()
+        path = fd.path
+        fd.write(0, b"hello world")
+        assert fd.read(6, 5) == b"world"
+        assert fd.size() == 11
+        fd.close()
         assert not os.path.exists(path)

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.ego_join import ego_self_join_file
@@ -326,3 +327,33 @@ class TestJoinUnderFaults:
             # windows may legitimately never catch the pool with a frame
             # to spare, so only correctness is asserted for those.
             assert report.schedule_stats.pressure_shrinks > 0
+
+
+class TestPressureScope:
+    """Pressure windows are run-relative, not plan-lifetime positions."""
+
+    def test_back_to_back_runs_rescope_pressure(self):
+        # One fault plan reused across consecutive runs: the pressure
+        # window is defined in run-relative operation indices, so the
+        # second run must react exactly like the first instead of
+        # sliding out of (or staying stuck inside) the window as the
+        # plan's global op counter advances.
+        dataset = np.random.default_rng(7).random((400, 4))
+        plan = FaultPlan(seed=5, pressure_ranges=[(5, 60)])
+        with SimulatedDisk() as disk:
+            pf = make_file(disk, dataset)
+            first, second = [
+                ego_self_join_file(pf, 0.15, unit_bytes=2048,
+                                   buffer_units=4, fault_plan=plan)
+                for _ in range(2)]
+        assert first.schedule_stats.pressure_shrinks > 0
+        assert second.schedule_stats.pressure_shrinks == \
+            first.schedule_stats.pressure_shrinks
+
+    def test_pressure_scope_rebase(self):
+        plan = FaultPlan(seed=0, pressure_ranges=[(0, 3)])
+        assert plan.under_pressure()
+        plan._op = 10
+        assert not plan.under_pressure()
+        plan.begin_pressure_scope()
+        assert plan.under_pressure()

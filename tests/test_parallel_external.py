@@ -30,6 +30,16 @@ def dataset():
     return np.random.default_rng(99).random((400, 4))
 
 
+@pytest.fixture(scope="module")
+def skewed_dataset():
+    # One heavy cluster dominating a sparse background: a few unit
+    # pairs carry nearly all the candidate pairs.
+    rng = np.random.default_rng(11)
+    heavy = 0.5 + rng.normal(0.0, 0.15, size=(280, 4))
+    background = rng.random((120, 4))
+    return np.clip(np.concatenate([heavy, background]), 0.0, 1.0)
+
+
 def run_join(pts, **kwargs):
     kwargs.setdefault("unit_bytes", UNIT_BYTES)
     kwargs.setdefault("buffer_units", BUFFER_UNITS)
@@ -47,16 +57,18 @@ def checkpoint_artifacts(ck):
 
 
 class TestParallelMatchesSerial:
-    def test_pair_stream_and_counters_identical(self, dataset):
-        serial = run_join(dataset)
-        parallel = run_join(dataset, workers=3)
-        sa, sb = serial.result.pairs()
-        pa, pb = parallel.result.pairs()
-        # Byte-identical stream: same pairs in the same order.
-        assert np.array_equal(sa, pa)
-        assert np.array_equal(sb, pb)
-        assert serial.cpu == parallel.cpu
-        assert serial.schedule_stats == parallel.schedule_stats
+    def test_pair_stream_and_counters_identical(self, dataset,
+                                                skewed_dataset):
+        for pts in (dataset, skewed_dataset):
+            serial = run_join(pts)
+            parallel = run_join(pts, workers=3)
+            sa, sb = serial.result.pairs()
+            pa, pb = parallel.result.pairs()
+            # Byte-identical stream: same pairs in the same order.
+            assert np.array_equal(sa, pa)
+            assert np.array_equal(sb, pb)
+            assert serial.cpu == parallel.cpu
+            assert serial.schedule_stats == parallel.schedule_stats
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_checkpoint_bytes_identical(self, dataset, tmp_path, workers):

@@ -113,6 +113,8 @@ class TestPolicyAndStats:
             SupervisorPolicy(max_task_retries=-1)
         with pytest.raises(ValueError, match="backoff"):
             SupervisorPolicy(backoff_factor=0.5)
+        with pytest.raises(ValueError, match="max_sleep_s"):
+            SupervisorPolicy(max_sleep_s=-1.0)
 
     def test_backoff_is_deterministic_and_grows(self):
         policy = SupervisorPolicy()
@@ -345,15 +347,12 @@ class TestObservability:
 
 class TestJoinerLifecycle:
     def test_joiners_are_context_managers(self, dataset):
-        from repro.core.parallel import (ParallelUnitJoiner,
-                                         SerialUnitJoiner)
+        from repro.core.parallel import SerialUnitJoiner
         from repro.core.result import JoinResult
         from repro.core.sequence_join import JoinContext
         from repro.core.supervisor import SupervisedUnitJoiner
         ctx = JoinContext(epsilon=EPSILON, result=JoinResult())
         with SerialUnitJoiner(ctx) as joiner:
-            joiner.drain()
-        with ParallelUnitJoiner(ctx, workers=2) as joiner:
             joiner.drain()
         with SupervisedUnitJoiner(ctx, workers=2) as joiner:
             joiner.drain()

@@ -156,6 +156,18 @@ class TestWorkloads:
         with pytest.raises(ValueError, match="unknown workload kind"):
             generate_workload("nope", 10, 2, EPS, seed=0)
 
+    def test_skewed_workload_registered(self):
+        assert "skewed" in WORKLOAD_KINDS
+        w1 = generate_workload("skewed", 200, 4, 0.15, seed=3)
+        w2 = generate_workload("skewed", 200, 4, 0.15, seed=3)
+        assert np.array_equal(w1.points, w2.points)
+        assert w1.points.shape == (200, 4)
+        assert w1.points.min() >= 0.0 and w1.points.max() <= 1.0
+        # The heavy cluster concentrates most points in a tight ball.
+        center = np.median(w1.points, axis=0)
+        dist = np.linalg.norm(w1.points - center, axis=1)
+        assert np.mean(dist < 4 * 0.15) > 0.6
+
 
 # -- oracle registry ---------------------------------------------------------
 

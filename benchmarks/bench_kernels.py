@@ -48,14 +48,6 @@ TINY_DIMENSIONS = [4, 8]
 
 EPSILON = 0.25
 
-#: Figure-9-style end-to-end points for the batched-vs-matmul
-#: comparison: ``(n, d, eps, minlen)``.  Small ``minlen`` is the regime
-#: the batched engine targets — many small leaves whose per-leaf GEMM
-#: dispatch it amortises into one fused call per batch.
-BATCHED_POINTS = [(3000, 8, 0.3, 16), (3000, 8, 0.3, 32),
-                  (2000, 16, 0.5, 16)]
-TINY_BATCHED_POINTS = [(800, 8, 0.3, 16)]
-
 
 def _best_of(fn, repeats):
     best = float("inf")
@@ -135,37 +127,13 @@ def measure_workers(n=6000, worker_counts=(1, 4), repeats=1, seed=777):
     return rows
 
 
-def measure_batched_e2e(points_list, repeats=2, seed=99):
-    """End-to-end in-memory self-join: per-leaf engines vs the fused
-    cross-leaf ``batched`` engine, one row per Figure-9-style point."""
-    from repro.core.ego_join import ego_self_join
-    rows = []
-    for n, d, eps, minlen in points_list:
-        pts = uniform(n, d, seed=seed + n + d)
-        counts = {}
-
-        def run(engine):
-            res = ego_self_join(pts, eps, engine=engine, minlen=minlen)
-            counts[engine] = res.count
-
-        row = {"n": n, "d": d, "eps": eps, "minlen": minlen}
-        for engine in ("vector", "matmul", "batched"):
-            row[engine] = _best_of(lambda: run(engine), repeats)
-        assert len(set(counts.values())) == 1, "engines disagree on pairs"
-        row["pairs"] = counts["batched"]
-        rows.append(row)
-    return rows
-
-
 def run_suite(tiny=False):
     if tiny:
         kernel_rows = sweep(TINY_LEAF_SIZES, TINY_DIMENSIONS, repeats=2)
         worker_rows = measure_workers(n=800, worker_counts=(1, 2))
-        batched_rows = measure_batched_e2e(TINY_BATCHED_POINTS)
     else:
         kernel_rows = sweep(LEAF_SIZES, DIMENSIONS)
         worker_rows = measure_workers()
-        batched_rows = measure_batched_e2e(BATCHED_POINTS)
     emit("bench_kernels",
          "Leaf kernel sweep: seconds per self-join leaf "
          f"(eps={EPSILON}, upper triangle)",
@@ -176,22 +144,12 @@ def run_suite(tiny=False):
          "External self-join wall clock vs worker count "
          f"(cad_like, engine=auto, {os.cpu_count()} core(s))",
          worker_rows)
-    emit("bench_kernels_batched",
-         "End-to-end self-join wall clock: per-leaf engines vs the "
-         "fused cross-leaf batched engine",
-         batched_rows,
-         time_columns=["vector", "matmul", "batched"],
-         reference="batched")
-    return kernel_rows, worker_rows, batched_rows
+    return kernel_rows, worker_rows
 
 
 def test_kernel_sweep(benchmark):
     tiny = TINY
-    kernel_rows, _, batched_rows = run_suite(tiny=tiny)
-    # Acceptance bar for the batched engine: faster than per-leaf GEMM
-    # end-to-end on at least one Figure-9-style point.
-    assert any(r["batched"] < r["matmul"] for r in batched_rows), \
-        batched_rows
+    kernel_rows, _ = run_suite(tiny=tiny)
     for row in kernel_rows:
         if row["scalar"] is not None:
             assert row["vector"] < row["scalar"]

@@ -5,8 +5,10 @@ machine-readable history of the same numbers so speedup regressions can
 be charted across commits.  Each run appends one record::
 
     {"timestamp": ..., "mode": "full"|"tiny", "cores": ...,
-     "kernels": [<sweep rows>], "workers": [<worker rows>],
-     "batched_e2e": [<batched-vs-matmul end-to-end rows>]}
+     "kernels": [<sweep rows>], "workers": [<worker rows>]}
+
+Records written before the ``batched`` engine was removed also carry a
+``"batched_e2e"`` list of end-to-end rows.
 
 Usage: ``python benchmarks/record_kernels.py [--tiny]``.
 """
@@ -21,8 +23,7 @@ from _harness import RESULTS_DIR
 JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_kernels.json")
 
 
-def append_record(kernel_rows, worker_rows, mode, path=JSON_PATH,
-                  batched_rows=None):
+def append_record(kernel_rows, worker_rows, mode, path=JSON_PATH):
     history = []
     if os.path.exists(path):
         with open(path) as fh:
@@ -33,7 +34,6 @@ def append_record(kernel_rows, worker_rows, mode, path=JSON_PATH,
         "cores": os.cpu_count(),
         "kernels": kernel_rows,
         "workers": worker_rows,
-        "batched_e2e": batched_rows or [],
     })
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -48,15 +48,9 @@ def main():
                         help="CI smoke configuration (small sweep)")
     args = parser.parse_args()
     from bench_kernels import run_suite
-    kernel_rows, worker_rows, batched_rows = run_suite(tiny=args.tiny)
+    kernel_rows, worker_rows = run_suite(tiny=args.tiny)
     path = append_record(kernel_rows, worker_rows,
-                         "tiny" if args.tiny else "full",
-                         batched_rows=batched_rows)
-    for row in batched_rows:
-        verdict = "beats" if row["batched"] < row["matmul"] else "trails"
-        print(f"batched {verdict} matmul at n={row['n']} d={row['d']} "
-              f"minlen={row['minlen']}: {row['batched']:.3f}s vs "
-              f"{row['matmul']:.3f}s")
+                         "tiny" if args.tiny else "full")
     print(f"appended to {path}")
 
 

@@ -237,7 +237,6 @@ def cmd_join(args) -> int:
                 "(p-stable projections model L2 distances)")
         if not 0.0 < args.recall_target < 1.0:
             raise ValueError("--recall-target must be in (0, 1)")
-        _check_batch_knobs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -270,8 +269,6 @@ def cmd_join(args) -> int:
                                         buffer_units=buffer_units,
                                         materialize=not args.count_only,
                                         engine=args.engine,
-                                        batch_points=args.batch_points,
-                                        batch_leaves=args.batch_leaves,
                                         workers=args.workers,
                                         metric=args.metric,
                                         fault_plan=fault_plan,
@@ -365,21 +362,8 @@ def _run_lsh_join(args, pf, tracer, registry, profiler) -> int:
     return 0
 
 
-def _check_batch_knobs(args) -> None:
-    """Reject non-positive batched-engine batch bounds."""
-    for knob, value in (("--batch-points", args.batch_points),
-                        ("--batch-leaves", args.batch_leaves)):
-        if value is not None and value < 1:
-            raise ValueError(f"{knob} must be at least 1")
-
-
 def cmd_join_two(args) -> int:
     """Handle ``repro join-two``."""
-    try:
-        _check_batch_knobs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     tracer, registry, profiler = _build_obs(args)
     with SimulatedDisk(path=args.file_r) as disk_r, \
             SimulatedDisk(path=args.file_s) as disk_s:
@@ -392,8 +376,6 @@ def cmd_join_two(args) -> int:
                                 buffer_units=buffer_units,
                                 materialize=not args.count_only,
                                 engine=args.engine,
-                                batch_points=args.batch_points,
-                                batch_leaves=args.batch_leaves,
                                 metric=args.metric,
                                 trace=tracer, metrics=registry,
                                 profiler=profiler)
@@ -658,10 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--metric", default="euclidean",
                    help="euclidean | manhattan | chebyshev")
     j.add_argument("--engine", default="auto",
-                   choices=["auto", "vector", "matmul", "batched",
-                            "scalar"],
-                   help="leaf distance kernel (auto picks batched or "
-                        "matmul per leaf)")
+                   choices=["auto", "vector", "matmul", "scalar"],
+                   help="leaf distance kernel (auto is matmul for "
+                        "euclidean, vector otherwise)")
     j.add_argument("--impl", default="ego",
                    choices=["ego", "lsh", "auto"],
                    help="join algorithm: exact external EGO (default), "
@@ -685,12 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4.0)")
     j.add_argument("--lsh-seed", type=int, default=0, metavar="N",
                    help="LSH: hash-family seed (same seed, same result)")
-    j.add_argument("--batch-points", type=int, default=None, metavar="N",
-                   help="batched engine: flush a leaf batch once its "
-                        "stacked blocks hold N rows (default 4096)")
-    j.add_argument("--batch-leaves", type=int, default=None, metavar="N",
-                   help="batched engine: flush after N leaf pairs "
-                        "(default 256)")
     j.add_argument("--workers", type=int, default=1, metavar="N",
                    help="join scheduled unit pairs on N processes "
                         "(results are identical to the serial run)")
@@ -752,15 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     j2.add_argument("--metric", default="euclidean",
                     help="euclidean | manhattan | chebyshev")
     j2.add_argument("--engine", default="auto",
-                    choices=["auto", "vector", "matmul", "batched",
-                             "scalar"],
+                    choices=["auto", "vector", "matmul", "scalar"],
                     help="leaf distance kernel")
-    j2.add_argument("--batch-points", type=int, default=None, metavar="N",
-                    help="batched engine: flush a leaf batch once its "
-                         "stacked blocks hold N rows (default 4096)")
-    j2.add_argument("--batch-leaves", type=int, default=None, metavar="N",
-                    help="batched engine: flush after N leaf pairs "
-                         "(default 256)")
     j2.add_argument("--trace", default=None, metavar="OUT.json",
                     help="write a Chrome trace_event JSON of the run")
     j2.add_argument("--metrics", default=None, metavar="OUT",

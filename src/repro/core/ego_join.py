@@ -52,16 +52,12 @@ def _make_context(epsilon: float, result: JoinResult, minlen: int,
                   engine: str, order_dimensions: bool,
                   cpu: Optional[CPUCounters],
                   metric=None, split_strategy: str = "half",
-                  invariants: bool = False,
-                  batch_points: Optional[int] = None,
-                  batch_leaves: Optional[int] = None) -> JoinContext:
+                  invariants: bool = False) -> JoinContext:
     return JoinContext(epsilon=epsilon, result=result, minlen=minlen,
                        engine=engine, order_dimensions=order_dimensions,
                        cpu=cpu, metric=metric,
                        split_strategy=split_strategy,
-                       invariants=invariants,
-                       batch_points=batch_points,
-                       batch_leaves=batch_leaves)
+                       invariants=invariants)
 
 
 def ego_self_join(points: np.ndarray, epsilon: float,
@@ -72,9 +68,7 @@ def ego_self_join(points: np.ndarray, epsilon: float,
                   result: Optional[JoinResult] = None,
                   metric=None, sort_dims=None,
                   split_strategy: str = "half",
-                  invariants: bool = False,
-                  batch_points: Optional[int] = None,
-                  batch_leaves: Optional[int] = None) -> JoinResult:
+                  invariants: bool = False) -> JoinResult:
     """In-memory EGO similarity self-join.
 
     Returns every unordered pair of distinct points at distance at most
@@ -100,8 +94,7 @@ def ego_self_join(points: np.ndarray, epsilon: float,
     sorted_ids, sorted_pts = ego_sorted(pts, epsilon, ids)
     ctx = _make_context(epsilon, result, minlen, engine, order_dimensions,
                         cpu, metric=metric, split_strategy=split_strategy,
-                        invariants=invariants, batch_points=batch_points,
-                        batch_leaves=batch_leaves)
+                        invariants=invariants)
     seq = Sequence(sorted_ids, sorted_pts, epsilon)
     join_sequences(seq, seq, ctx)
     return result
@@ -116,9 +109,7 @@ def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
              result: Optional[JoinResult] = None,
              metric=None, sort_dims=None,
              split_strategy: str = "half",
-             invariants: bool = False,
-             batch_points: Optional[int] = None,
-             batch_leaves: Optional[int] = None) -> JoinResult:
+             invariants: bool = False) -> JoinResult:
     """In-memory EGO similarity join of two point sets.
 
     Returns all pairs ``(r, s)`` with ``‖r − s‖ ≤ ε``; the first id of
@@ -144,8 +135,7 @@ def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
     sid, spts = ego_sorted(s, epsilon, ids_s)
     ctx = _make_context(epsilon, result, minlen, engine, order_dimensions,
                         cpu, metric=metric, split_strategy=split_strategy,
-                        invariants=invariants, batch_points=batch_points,
-                        batch_leaves=batch_leaves)
+                        invariants=invariants)
     join_sequences(Sequence(rid, rpts, epsilon),
                    Sequence(sid, spts, epsilon), ctx)
     return result
@@ -247,8 +237,6 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                    materialize: bool = True,
                    metric=None,
                    invariants: bool = False,
-                   batch_points: Optional[int] = None,
-                   batch_leaves: Optional[int] = None,
                    trace=None, metrics=None,
                    profiler=None) -> ExternalRSJoinReport:
     """External EGO join of two point files (R ⋈ S).
@@ -304,8 +292,6 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
         ctx = JoinContext(epsilon=epsilon, result=result, minlen=minlen,
                           engine=engine, order_dimensions=order_dimensions,
                           cpu=cpu, metric=metric, invariants=invariants,
-                          batch_points=batch_points,
-                          batch_leaves=batch_leaves,
                           trace=tracer, metrics=registry)
         join_before = (sorted_r_disk.simulated_time_s
                        + sorted_s_disk.simulated_time_s)
@@ -350,8 +336,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                        worker_fault_plan: Optional[WorkerFaultPlan] = None,
                        supervisor_policy: Optional[SupervisorPolicy] = None,
                        invariants: bool = False,
-                       batch_points: Optional[int] = None,
-                       batch_leaves: Optional[int] = None,
                        trace=None, metrics=None,
                        profiler=None) -> ExternalJoinReport:
     """External EGO self-join of a point file (the paper's full pipeline).
@@ -596,8 +580,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                           cpu=cpu, metric=metric,
                           grid_epsilon=grid_epsilon,
                           invariants=invariants,
-                          batch_points=batch_points,
-                          batch_leaves=batch_leaves,
                           trace=tracer, metrics=registry)
 
         pair_done = None

@@ -20,8 +20,8 @@ provides a BLAS-bound alternative:
 * :class:`ScratchBuffers` — reusable per-join scratch for the Gram
   tiles, norms and masks, so steady-state leaf joins allocate nothing
   proportional to ``block²``.
-* :func:`select_engine` — the ``"auto"`` heuristic mapping leaf shape
-  and metric to the fastest engine.
+* :func:`select_engine` — resolves an engine name and metric to the
+  kernel that runs (``"auto"`` is GEMM for Euclidean leaves).
 
 Counter semantics: the dense kernel has no early abort, so with
 ``counters`` it charges one distance calculation and ``d`` dimension
@@ -46,52 +46,23 @@ from .metrics import Metric
 #: still amortising the BLAS call overhead.
 DEFAULT_BLOCK = 256
 
-#: ``na*nb*d`` volume above which "auto" switches from the difference-cube
-#: ``vector`` engine to the GEMM engine.  Calibrated with
-#: ``benchmarks/bench_kernels.py``: the crossover sits near 64×64 points
-#: at d = 8; below it the einsum/broadcast path wins on call overhead.
-AUTO_MATMUL_VOLUME = 32768
-
-#: Flush a :class:`LeafBatch` once its stacked blocks hold this many rows.
-#: Large enough that one flush amortises the per-leaf Python dispatch over
-#: dozens of ``minlen``-sized leaves, small enough that the stacked tiles
-#: and candidate masks stay cache-resident.
-DEFAULT_BATCH_POINTS = 4096
-
-#: ...or this many leaf pairs, whichever comes first.
-DEFAULT_BATCH_LEAVES = 256
-
 #: Engines a :class:`~repro.core.sequence_join.JoinContext` accepts.
-ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
+ENGINES = ("scalar", "vector", "matmul", "auto")
 
 
-def select_engine(engine: str, na: int, nb: int, dimensions: int,
-                  metric: Optional[Metric] = None,
-                  batching: bool = False) -> str:
-    """Resolve the ``"auto"`` engine choice for one leaf.
+def select_engine(engine: str, metric: Optional[Metric] = None) -> str:
+    """The leaf kernel that actually runs for ``engine`` and ``metric``.
 
-    Explicit engine names pass through unchanged (``"matmul"`` with a
-    non-Euclidean metric falls back to ``"vector"`` inside
-    :func:`pairs_within_matmul` — the Gram identity only holds for L2,
-    and ``"batched"`` resolves to ``"vector"`` for the same reason).
-    ``"auto"`` picks GEMM for large Euclidean leaves and the
-    difference-cube engine otherwise; when the caller can accumulate a
-    :class:`LeafBatch` (``batching=True``) the small Euclidean leaves
-    that used to fall back to ``"vector"`` go to ``"batched"`` instead —
-    below the GEMM crossover the bottleneck is per-leaf dispatch, which
-    is exactly what batching amortises.
+    The Gram identity only holds for L2, so ``"matmul"`` and ``"auto"``
+    resolve to GEMM for Euclidean leaves and to the difference-cube
+    ``"vector"`` engine otherwise; ``"scalar"`` and ``"vector"`` pass
+    through unchanged.
     """
-    if engine == "batched":
+    if engine in ("matmul", "auto"):
         if metric is not None and metric.name != "euclidean":
             return "vector"
-        return "batched"
-    if engine != "auto":
-        return engine
-    if metric is not None and metric.name != "euclidean":
-        return "vector"
-    if na * nb * dimensions >= AUTO_MATMUL_VOLUME:
         return "matmul"
-    return "batched" if batching else "vector"
+    return engine
 
 
 class ScratchBuffers:
@@ -202,7 +173,7 @@ def _euclidean_slack(norms_a: np.ndarray, norms_b: np.ndarray,
 
 
 def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
-                        order: np.ndarray,
+                        order: Optional[np.ndarray],
                         counters: Optional[CPUCounters] = None,
                         upper_triangle: bool = False,
                         return_sq_distances: bool = False,
@@ -221,8 +192,8 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     is re-verified from exact differences).  ``windows`` is an optional
     ``(lo, hi)`` pair from :func:`candidate_windows` restricting each
     ``a`` row's candidates; ``order`` is accepted for interface parity
-    (a dense kernel has no abort position, so the evaluation order is
-    irrelevant).
+    and, for Euclidean input, ignored (a dense kernel has no abort
+    position, so the evaluation order is irrelevant; ``None`` is fine).
 
     ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
     counting GEMM tiles and exactly re-verified candidates; ``None``
@@ -254,13 +225,17 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     # candidate through exact re-verification.  The exact re-check below
     # still reads the *original* rows, so boundary decisions (and the
     # reported distances) stay bit-identical to the reference engines.
+    # A self pair (``a is b``) shares its centered copy and norms.
     a0, b0 = a, b
-    center = 0.5 * (a.mean(axis=0) + b.mean(axis=0))
-    a = a - center
-    b = b - center
+    if a0 is b0:
+        a = b = a - a.mean(axis=0)
+    else:
+        center = 0.5 * (a.mean(axis=0) + b.mean(axis=0))
+        a = a - center
+        b = b - center
 
     norms_a = scratch.norms(a, "a")
-    norms_b = scratch.norms(b, "b")
+    norms_b = norms_a if b is a else scratch.norms(b, "b")
     slack = _euclidean_slack(norms_a, norms_b, a.shape[1])
     lo = hi = None
     if windows is not None:
@@ -295,31 +270,22 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
             d2 = (norms_a[i0:i1, None] + norms_b[None, j0:j1]
                   - 2.0 * gram)
             mask = d2 <= eps_sq + slack
+            # Candidates of this tile: inside the window, and above the
+            # diagonal for a self pair (None = the whole tile).
+            valid = None
+            if lo is not None or upper_triangle:
+                cols = np.arange(j0, j1, dtype=np.intp)[None, :]
             if lo is not None:
-                cols = np.arange(j0, j1, dtype=np.intp)
-                in_window = ((cols[None, :] >= lo[i0:i1, None])
-                             & (cols[None, :] < hi[i0:i1, None]))
-                if counters is not None:
-                    if upper_triangle:
-                        rows = np.arange(i0, i1, dtype=np.intp)
-                        candidates_evaluated += int(
-                            (in_window
-                             & (cols[None, :] > rows[:, None])).sum())
-                    else:
-                        candidates_evaluated += int(in_window.sum())
-                mask &= in_window
-            elif counters is not None:
-                if upper_triangle:
-                    rows = np.arange(i0, i1, dtype=np.intp)
-                    cols = np.arange(j0, j1, dtype=np.intp)
-                    candidates_evaluated += int(
-                        (cols[None, :] > rows[:, None]).sum())
-                else:
-                    candidates_evaluated += (i1 - i0) * (j1 - j0)
+                valid = (cols >= lo[i0:i1, None]) & (cols < hi[i0:i1, None])
             if upper_triangle:
-                rows = np.arange(i0, i1, dtype=np.intp)
-                cols = np.arange(j0, j1, dtype=np.intp)
-                mask &= cols[None, :] > rows[:, None]
+                above = cols > np.arange(i0, i1, dtype=np.intp)[:, None]
+                valid = above if valid is None else valid & above
+            if valid is None:
+                candidates_evaluated += (i1 - i0) * (j1 - j0)
+            else:
+                if counters is not None:
+                    candidates_evaluated += int(valid.sum())
+                mask &= valid
             ci, cj = np.nonzero(mask)
             if len(ci) == 0:
                 continue
@@ -333,8 +299,8 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
             keep = exact <= eps_sq
             if not keep.any():
                 continue
-            out_a.append((ci[keep] + i0).astype(np.intp))
-            out_b.append((cj[keep] + j0).astype(np.intp))
+            out_a.append(ci[keep] + i0)
+            out_b.append(cj[keep] + j0)
             if return_sq_distances:
                 out_d.append(exact[keep])
     if counters is not None:
@@ -359,235 +325,3 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
                 else np.empty(0, dtype=np.float64))
         return ia, ib, dist
     return ia, ib
-
-
-class LeafBatch:
-    """Accumulator of leaf-pair candidate blocks for the batched engine.
-
-    The sequence join appends each leaf pair's point blocks (plus their
-    candidate windows and triangle flag) instead of dispatching a kernel
-    per pair; once :attr:`full`, :func:`pairs_within_batched` evaluates
-    every accumulated pair with one fused, tiled GEMM over the stacked
-    blocks.  The batch stores raw arrays and opaque ``payloads`` only —
-    this stacked-block interface is the seam a CuPy/torch array-module
-    backend plugs into.
-    """
-
-    __slots__ = ("max_points", "max_leaves", "blocks_a", "blocks_b",
-                 "windows", "upper", "payloads", "points")
-
-    def __init__(self, max_points: int = DEFAULT_BATCH_POINTS,
-                 max_leaves: int = DEFAULT_BATCH_LEAVES) -> None:
-        if max_points < 1:
-            raise ValueError(f"max_points must be positive, got {max_points}")
-        if max_leaves < 1:
-            raise ValueError(f"max_leaves must be positive, got {max_leaves}")
-        self.max_points = int(max_points)
-        self.max_leaves = int(max_leaves)
-        self.blocks_a = []
-        self.blocks_b = []
-        self.windows = []
-        self.upper = []
-        self.payloads = []
-        self.points = 0
-
-    def __len__(self) -> int:
-        return len(self.blocks_a)
-
-    @property
-    def full(self) -> bool:
-        """True once the batch should be flushed."""
-        return (self.points >= self.max_points
-                or len(self.blocks_a) >= self.max_leaves)
-
-    def add(self, a: np.ndarray, b: np.ndarray,
-            windows: Optional[Tuple[np.ndarray, np.ndarray]],
-            upper_triangle: bool, payload=None) -> None:
-        """Append one leaf pair's blocks (kept by reference, not copied)."""
-        self.blocks_a.append(a)
-        self.blocks_b.append(b)
-        self.windows.append(windows)
-        self.upper.append(bool(upper_triangle))
-        self.payloads.append(payload)
-        self.points += len(a) + len(b)
-
-    def clear(self) -> None:
-        """Drop all accumulated blocks."""
-        self.blocks_a.clear()
-        self.blocks_b.clear()
-        self.windows.clear()
-        self.upper.clear()
-        self.payloads.clear()
-        self.points = 0
-
-
-def pairs_within_batched(batch: LeafBatch, eps_sq: float,
-                         counters: Optional[CPUCounters] = None,
-                         return_sq_distances: bool = False,
-                         scratch: Optional[ScratchBuffers] = None,
-                         block: int = DEFAULT_BLOCK,
-                         metrics=None):
-    """Evaluate every leaf pair in ``batch`` with one fused, tiled GEMM.
-
-    The stacked ``a`` blocks form the row space and the stacked ``b``
-    blocks the column space of a single Gram evaluation; each global
-    ``a`` row carries a contiguous candidate range ``[low, high)`` into
-    the stacked columns that simultaneously encodes which entry the row
-    belongs to, its candidate window and (for self-pairs) the
-    upper-triangle constraint, so the tile loop is structurally the one
-    from :func:`pairs_within_matmul`.  All near-threshold accepts across
-    the whole batch are re-verified in one vectorized pass from the
-    original rows, then scattered back per leaf pair in deterministic
-    row-major order — the per-pair results (and distances) are exactly
-    those of the per-leaf engines.
-
-    Returns a list with one ``(ia, ib)`` (or ``(ia, ib, sq_distances)``)
-    tuple per batch entry, in insertion order.
-    """
-    entries = len(batch)
-    if entries == 0:
-        return []
-    if scratch is None:
-        scratch = ScratchBuffers(block)
-    else:
-        block = scratch.block
-
-    na_sizes = np.array([len(blk) for blk in batch.blocks_a], dtype=np.intp)
-    nb_sizes = np.array([len(blk) for blk in batch.blocks_b], dtype=np.intp)
-    a_off = np.zeros(entries + 1, dtype=np.intp)
-    b_off = np.zeros(entries + 1, dtype=np.intp)
-    np.cumsum(na_sizes, out=a_off[1:])
-    np.cumsum(nb_sizes, out=b_off[1:])
-    total_a, total_b = int(a_off[-1]), int(b_off[-1])
-    dims = batch.blocks_a[0].shape[1]
-
-    def _empty():
-        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-
-    if total_a == 0 or total_b == 0:
-        out = []
-        for _ in range(entries):
-            ia, ib = _empty()
-            out.append((ia, ib, np.empty(0, dtype=np.float64))
-                       if return_sq_distances else (ia, ib))
-        return out
-
-    # Stack the blocks, centering each pair by its joint mean (see
-    # pairs_within_matmul) so the slack reflects spread, not magnitude.
-    # The original stacks feed the exact re-verification.
-    stack_a0 = np.concatenate(batch.blocks_a) if entries > 1 \
-        else np.asarray(batch.blocks_a[0])
-    stack_b0 = np.concatenate(batch.blocks_b) if entries > 1 \
-        else np.asarray(batch.blocks_b[0])
-    stack_a = np.empty_like(stack_a0)
-    stack_b = np.empty_like(stack_b0)
-    low = np.empty(total_a, dtype=np.intp)
-    high = np.empty(total_a, dtype=np.intp)
-    for e in range(entries):
-        blk_a, blk_b = batch.blocks_a[e], batch.blocks_b[e]
-        sa, sb = a_off[e], b_off[e]
-        if len(blk_a) and len(blk_b):
-            center = 0.5 * (blk_a.mean(axis=0) + blk_b.mean(axis=0))
-        else:
-            center = 0.0
-        stack_a[sa:sa + len(blk_a)] = blk_a - center
-        stack_b[sb:sb + len(blk_b)] = blk_b - center
-        win = batch.windows[e]
-        if win is not None:
-            low[sa:sa + len(blk_a)] = sb + win[0]
-            high[sa:sa + len(blk_a)] = sb + win[1]
-        else:
-            low[sa:sa + len(blk_a)] = sb
-            high[sa:sa + len(blk_a)] = sb + len(blk_b)
-        if batch.upper[e]:
-            np.maximum(low[sa:sa + len(blk_a)],
-                       sb + np.arange(1, len(blk_a) + 1, dtype=np.intp),
-                       out=low[sa:sa + len(blk_a)])
-
-    norms_a = scratch.norms(stack_a, "a")
-    norms_b = scratch.norms(stack_b, "b")
-    slack = _euclidean_slack(norms_a, norms_b, dims)
-
-    rows_out, cols_out = [], []
-    candidates_evaluated = 0
-    gemm_tiles = 0
-    for i0 in range(0, total_a, block):
-        i1 = min(i0 + block, total_a)
-        j_start = int(low[i0:i1].min())
-        j_end = int(high[i0:i1].max())
-        if j_start >= j_end:
-            continue
-        a_blk = stack_a[i0:i1]
-        lo_blk = low[i0:i1, None]
-        hi_blk = high[i0:i1, None]
-        for j0 in range(j_start, j_end, block):
-            j1 = min(j0 + block, j_end)
-            gram = scratch.gram_tile(i1 - i0, j1 - j0)
-            gemm_tiles += 1
-            np.matmul(a_blk, stack_b[j0:j1].T, out=gram)
-            d2 = (norms_a[i0:i1, None] + norms_b[None, j0:j1]
-                  - 2.0 * gram)
-            cols = np.arange(j0, j1, dtype=np.intp)
-            in_range = (cols[None, :] >= lo_blk) & (cols[None, :] < hi_blk)
-            if counters is not None:
-                candidates_evaluated += int(in_range.sum())
-            mask = (d2 <= eps_sq + slack) & in_range
-            ci, cj = np.nonzero(mask)
-            if len(ci):
-                rows_out.append((ci + i0).astype(np.intp))
-                cols_out.append((cj + j0).astype(np.intp))
-
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        # One deterministic row-major order across the batch: rows of an
-        # entry are contiguous, so per-entry segments come out sorted
-        # exactly like the per-leaf engines emit them.
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        cols = cols[order]
-        # Single vectorized exact re-verification pass over all
-        # near-threshold candidates, from the original (uncentered) rows.
-        diffs = stack_a0[rows] - stack_b0[cols]
-        exact = np.einsum("ij,ij->i", diffs, diffs)
-        keep = exact <= eps_sq
-        reverified = len(rows)
-        rows, cols, exact = rows[keep], cols[keep], exact[keep]
-    else:
-        rows = cols = np.empty(0, dtype=np.intp)
-        exact = np.empty(0, dtype=np.float64)
-        reverified = 0
-
-    if counters is not None:
-        counters.distance_calculations += candidates_evaluated
-        counters.dimension_evaluations += candidates_evaluated * dims
-    if metrics is not None:
-        metrics.counter(
-            "ego_gemm_tiles_total",
-            "GEMM tiles evaluated by the matmul leaf kernel").inc(gemm_tiles)
-        metrics.counter(
-            "ego_gemm_reverified_total",
-            "Borderline GEMM accepts re-verified with exact differences",
-        ).inc(reverified)
-        metrics.counter(
-            "ego_kernel_batches_total",
-            "LeafBatch flushes evaluated by the batched engine").inc()
-        metrics.histogram(
-            "ego_kernel_batch_leaves",
-            "Leaf pairs per batched-kernel flush").observe(entries)
-        metrics.histogram(
-            "ego_kernel_batch_points",
-            "Stacked rows per batched-kernel flush").observe(batch.points)
-
-    starts = np.searchsorted(rows, a_off[:-1], side="left")
-    ends = np.searchsorted(rows, a_off[1:], side="left")
-    results = []
-    for e in range(entries):
-        s, t = int(starts[e]), int(ends[e])
-        ia = rows[s:t] - a_off[e]
-        ib = cols[s:t] - b_off[e]
-        if return_sq_distances:
-            results.append((ia, ib, exact[s:t]))
-        else:
-            results.append((ia, ib))
-    return results

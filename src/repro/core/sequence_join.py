@@ -26,10 +26,8 @@ from ..storage.stats import CPUCounters
 from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
 from .ego_order import lex_less, validate_epsilon
-from .kernels import (DEFAULT_BATCH_LEAVES, DEFAULT_BATCH_POINTS, ENGINES,
-                      LeafBatch, ScratchBuffers, candidate_windows,
-                      pairs_within_batched, pairs_within_matmul,
-                      select_engine)
+from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
+                      pairs_within_matmul, select_engine)
 from .metrics import Metric, get_metric
 from .result import JoinResult
 from .sequence import Sequence
@@ -59,12 +57,10 @@ class JoinContext:
     ``engine`` picks the leaf distance kernel: ``"scalar"`` (the
     literal Figure-7 loop), ``"vector"`` (difference-cube numpy),
     ``"matmul"`` (tiled GEMM with candidate windowing, see
-    :mod:`repro.core.kernels`), ``"batched"`` (leaf pairs accumulated
-    into a :class:`~repro.core.kernels.LeafBatch` and evaluated with one
-    fused GEMM per flush — amortises per-leaf dispatch) or ``"auto"``
-    (per-leaf heuristic choosing between ``batched`` and ``matmul`` by
-    leaf volume and metric).  ``batch_points`` / ``batch_leaves`` bound
-    a batch's stacked rows and leaf-pair count before it is flushed.
+    :mod:`repro.core.kernels`) or ``"auto"`` (``matmul`` for Euclidean
+    leaves, ``vector`` otherwise).  ``leaf_engine`` is the kernel that
+    actually runs: ``matmul`` and ``auto`` resolve to ``vector`` for
+    non-Euclidean metrics, since the Gram identity only holds for L2.
 
     ``invariants`` enables the runtime invariant hooks of
     :mod:`repro.verify.invariants`: pruning-soundness and leaf-exactness
@@ -89,8 +85,6 @@ class JoinContext:
     monitor: Optional[object] = None
     trace: Optional[object] = None
     metrics: Optional[object] = None
-    batch_points: Optional[int] = None
-    batch_leaves: Optional[int] = None
     eps_sq: float = field(init=False)
     threshold: float = field(init=False)
 
@@ -125,21 +119,11 @@ class JoinContext:
             # so a module-level import here would be circular.
             from ..verify.invariants import make_monitor
             self.monitor = make_monitor(True)
-        self.batch_points = (DEFAULT_BATCH_POINTS if self.batch_points is None
-                             else int(self.batch_points))
-        self.batch_leaves = (DEFAULT_BATCH_LEAVES if self.batch_leaves is None
-                             else int(self.batch_leaves))
-        if self.batch_points < 1:
-            raise ValueError(
-                f"batch_points must be positive, got {self.batch_points}")
-        if self.batch_leaves < 1:
-            raise ValueError(
-                f"batch_leaves must be positive, got {self.batch_leaves}")
+        self.leaf_engine = select_engine(self.engine, self.engine_metric)
         self.trace = ensure_tracer(self.trace)
         self.metrics = ensure_metrics(self.metrics)
         self.obs = _SequenceObs(self.metrics)
         self._scratch = None
-        self._batch = None
 
     @property
     def engine_metric(self) -> Optional[Metric]:
@@ -152,13 +136,6 @@ class JoinContext:
         if self._scratch is None:
             self._scratch = ScratchBuffers()
         return self._scratch
-
-    @property
-    def batch(self) -> LeafBatch:
-        """Per-run leaf-pair accumulator (created on first use)."""
-        if self._batch is None:
-            self._batch = LeafBatch(self.batch_points, self.batch_leaves)
-        return self._batch
 
 
 class _SequenceObs:
@@ -269,34 +246,6 @@ def _emit_leaf(s: Sequence, t: Sequence, ia, ib, combined,
             ctx.result.add_batch(s.ids[ia], t.ids[ib])
 
 
-def flush_leaf_batch(ctx: JoinContext) -> None:
-    """Evaluate accumulated batched-engine leaf pairs and scatter results.
-
-    Entries are emitted strictly in accumulation (leaf-visit) order with
-    row-major pairs inside each leaf, so the pair stream is the one the
-    per-leaf engines produce.
-    """
-    batch = ctx._batch
-    if batch is None or len(batch) == 0:
-        return
-    span_args = ({"leaves": len(batch), "points": batch.points}
-                 if ctx.trace.enabled else None)
-    with ctx.trace.span("leaf_batch", cat="kernel", args=span_args):
-        results = pairs_within_batched(
-            batch, ctx.threshold, counters=ctx.cpu,
-            return_sq_distances=ctx.result.collect_distances,
-            scratch=ctx.scratch,
-            metrics=ctx.metrics if ctx.metrics.enabled else None)
-    for entry, payload in zip(results, batch.payloads):
-        s, t, upper = payload
-        if ctx.result.collect_distances:
-            ia, ib, combined = entry
-        else:
-            (ia, ib), combined = entry, None
-        _emit_leaf(s, t, ia, ib, combined, ctx, upper)
-    batch.clear()
-
-
 def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
                 upper_triangle: bool = False) -> None:
     """Leaf case: compare the remaining points directly (Figure 7).
@@ -304,27 +253,14 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
     With ``upper_triangle`` the sequences are the identical slice and
     only pairs ``(i, j)`` with ``i < j`` are produced.
     """
-    engine = select_engine(ctx.engine, len(s), len(t), s.dimensions,
-                           ctx.engine_metric, batching=True)
+    engine = ctx.leaf_engine
     ctx.obs.leaf_joins.labels(engine).inc()
     ctx.obs.leaf_volume.observe(len(s) * len(t))
-    if engine == "batched":
-        ctx.batch.add(s.points, t.points, _leaf_windows(s, t, ctx),
-                      upper_triangle, payload=(s, t, upper_triangle))
-        if ctx.batch.full:
-            flush_leaf_batch(ctx)
-        return
-    # A pending batch must drain before a per-leaf engine emits, so the
-    # result stream keeps the leaf-visit order (``auto`` mixes batched
-    # and matmul leaves).
-    if ctx._batch is not None and len(ctx._batch):
-        flush_leaf_batch(ctx)
-    if ctx.order_dimensions:
-        order = dimension_ordering(s, t)
-    else:
-        order = natural_ordering(s.dimensions)
     extra = {}
     if engine == "matmul":
+        # The dense GEMM kernel has no abort position to order
+        # dimensions for.
+        order = None
         finder = pairs_within_matmul
         extra["scratch"] = ctx.scratch
         if ctx.metrics.enabled:
@@ -332,10 +268,13 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
         windows = _leaf_windows(s, t, ctx)
         if windows is not None:
             extra["windows"] = windows
-    elif engine == "vector":
-        finder = pairs_within_vector
     else:
-        finder = pairs_within_scalar
+        if ctx.order_dimensions:
+            order = dimension_ordering(s, t)
+        else:
+            order = natural_ordering(s.dimensions)
+        finder = (pairs_within_vector if engine == "vector"
+                  else pairs_within_scalar)
     span_args = ({"engine": engine, "ns": len(s), "nt": len(t)}
                  if ctx.trace.enabled else None)
     with ctx.trace.span("leaf", cat="kernel", args=span_args):
@@ -368,8 +307,14 @@ def _split(seq: Sequence, ctx: JoinContext):
     return seq.first_half(), seq.second_half()
 
 
-def _join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
-    """Figure 6 recursion body — may leave batched leaves unflushed."""
+def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
+    """Figure 6: recursive divide-and-conquer join of two sequences.
+
+    When ``s`` and ``t`` are the identical slice (a sequence joined with
+    itself), the mirrored recursion quadrant is skipped and the leaf
+    comparison is restricted to the upper triangle so each unordered pair
+    is reported exactly once.
+    """
     if ctx.cpu is not None:
         ctx.cpu.sequence_pairs += 1
     ctx.obs.seq_pairs.inc()
@@ -392,41 +337,26 @@ def _join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
 
     if self_pair:
         first, second = _split(s, ctx)
-        _join_sequences(first, first, ctx)
-        _join_sequences(first, second, ctx)
-        _join_sequences(second, second, ctx)
+        join_sequences(first, first, ctx)
+        join_sequences(first, second, ctx)
+        join_sequences(second, second, ctx)
         return
 
     if s_splittable and t_splittable:
         sf, ss = _split(s, ctx)
         tf, ts = _split(t, ctx)
-        _join_sequences(sf, tf, ctx)
-        _join_sequences(sf, ts, ctx)
-        _join_sequences(ss, tf, ctx)
-        _join_sequences(ss, ts, ctx)
+        join_sequences(sf, tf, ctx)
+        join_sequences(sf, ts, ctx)
+        join_sequences(ss, tf, ctx)
+        join_sequences(ss, ts, ctx)
     elif s_splittable:
         sf, ss = _split(s, ctx)
-        _join_sequences(sf, t, ctx)
-        _join_sequences(ss, t, ctx)
+        join_sequences(sf, t, ctx)
+        join_sequences(ss, t, ctx)
     else:
         tf, ts = _split(t, ctx)
-        _join_sequences(s, tf, ctx)
-        _join_sequences(s, ts, ctx)
-
-
-def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
-    """Figure 6: recursive divide-and-conquer join of two sequences.
-
-    When ``s`` and ``t`` are the identical slice (a sequence joined with
-    itself), the mirrored recursion quadrant is skipped and the leaf
-    comparison is restricted to the upper triangle so each unordered pair
-    is reported exactly once.
-
-    Any leaf pairs the batched engine accumulated are flushed before
-    returning, so callers always observe a complete result.
-    """
-    _join_sequences(s, t, ctx)
-    flush_leaf_batch(ctx)
+        join_sequences(s, tf, ctx)
+        join_sequences(s, ts, ctx)
 
 
 def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,

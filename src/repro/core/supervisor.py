@@ -399,8 +399,7 @@ class SupervisedUnitJoiner:
         self._ctx_kwargs = dict(
             epsilon=ctx.epsilon, minlen=ctx.minlen, engine=ctx.engine,
             order_dimensions=ctx.order_dimensions, metric=metric,
-            grid_epsilon=ctx.grid_epsilon, split_strategy=ctx.split_strategy,
-            batch_points=ctx.batch_points, batch_leaves=ctx.batch_leaves)
+            grid_epsilon=ctx.grid_epsilon, split_strategy=ctx.split_strategy)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
         self._next_submit = 0

@@ -4,7 +4,7 @@ The index-based competitor joins (RSJ, Z-Order-RSJ, MuX) rely on the
 *lower bounding property*: the distance between two points is never
 smaller than the minimum distance between the MBRs of the pages that
 store them [BKS 93].  This module provides the MBR algebra those joins
-need, in both scalar and batched (vectorised) form.
+need, in both scalar and vectorised form.
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ import numpy as np
 
 from ..core.distance import (natural_ordering, pairs_within_scalar,
                              pairs_within_vector)
-from ..core.kernels import ScratchBuffers, pairs_within_matmul, select_engine
+from ..core.kernels import (ENGINES, ScratchBuffers, pairs_within_matmul,
+                            select_engine)
 from ..core.result import JoinResult
 from ..index.lsh import (DEFAULT_K, DEFAULT_W_SCALE, PStableHashFamily,
                          sort_by_keys)
@@ -52,11 +53,6 @@ from .base import DiskTracker, JoinReport
 
 #: Records per buffered write/read while streaming bucket files.
 BUCKET_CHUNK_RECORDS = 4096
-
-#: Engines the verification pass accepts (``batched`` needs the
-#: leaf-batch accumulator of the EGO recursion and resolves to the
-#: fused GEMM kernel here — same arithmetic, no batching seam).
-LSH_ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
 
 
 @dataclass
@@ -97,13 +93,11 @@ def _verify_bucket(engine: str, pts: np.ndarray, eps_sq: float,
                    scratch: ScratchBuffers
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact upper-triangle pairs of one bucket block."""
-    resolved = select_engine(
-        "matmul" if engine == "batched" else engine,
-        len(pts), len(pts), pts.shape[1])
+    resolved = select_engine(engine)
     if resolved == "scalar":
         return pairs_within_scalar(pts, pts, eps_sq, order, counters=cpu,
                                    upper_triangle=True)
-    if resolved == "matmul" or resolved == "batched":
+    if resolved == "matmul":
         return pairs_within_matmul(pts, pts, eps_sq, order, counters=cpu,
                                    upper_triangle=True, scratch=scratch)
     return pairs_within_vector(pts, pts, eps_sq, order, counters=cpu,
@@ -158,7 +152,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
         is not given.
     engine:
         Verification kernel (``scalar``/``vector``/``matmul``/``auto``;
-        ``batched`` resolves to the fused GEMM kernel).
+        ``auto`` is the GEMM kernel).
     backend:
         Storage backend name (or a :class:`Backend` instance) for the
         per-table bucket files.
@@ -166,9 +160,9 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
     if epsilon <= 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, "
                          f"got {epsilon}")
-    if engine not in LSH_ENGINES:
+    if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}; choose from {LSH_ENGINES}")
+            f"unknown engine {engine!r}; choose from {ENGINES}")
     backend_obj = backend if isinstance(backend, Backend) \
         else get_backend(backend)
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..core.ego_order import (cell_sort_order, ego_sort_order,
                               ensure_finite, grid_cells, validate_epsilon)
+from ..core.kernels import ENGINES
 from ..core.result import JoinResult
 from ..core.sequence import Sequence
 from ..core.sequence_join import (DEFAULT_MINLEN, JoinContext,
@@ -189,6 +190,9 @@ class EGOStore:
         if unit_records < 1:
             raise ValueError(
                 f"unit_records must be >= 1, got {unit_records}")
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; known: {ENGINES}")
         self._dims = None if dimensions is None else int(dimensions)
         self._engine = engine
         self._minlen = int(minlen)

@@ -53,22 +53,16 @@ class TestJoin:
         err = capsys.readouterr().err
         assert "pairs:" in err
 
-    def test_join_batched_engine_with_knobs(self, data_file, capsys):
-        assert main(["join", data_file, "--epsilon", "0.2",
-                     "--engine", "batched", "--batch-points", "512",
-                     "--batch-leaves", "8", "--count-only"]) == 0
-        batched = [ln for ln in capsys.readouterr().err.splitlines()
-                   if "pairs:" in ln]
-        assert main(["join", data_file, "--epsilon", "0.2",
-                     "--engine", "vector", "--count-only"]) == 0
-        vector = [ln for ln in capsys.readouterr().err.splitlines()
-                  if "pairs:" in ln]
-        assert batched == vector
-
-    def test_bad_batch_knob_exits_2(self, data_file, capsys):
-        assert main(["join", data_file, "--epsilon", "0.2",
-                     "--batch-points", "0", "--count-only"]) == 2
-        assert "error: --batch-points" in capsys.readouterr().err
+    def test_join_engines_agree(self, data_file, capsys):
+        counts = {}
+        for engine in ("auto", "matmul", "vector"):
+            assert main(["join", data_file, "--epsilon", "0.2",
+                         "--engine", engine, "--count-only"]) == 0
+            counts[engine] = [ln for ln in
+                              capsys.readouterr().err.splitlines()
+                              if "pairs:" in ln]
+            assert counts[engine]
+        assert counts["auto"] == counts["matmul"] == counts["vector"]
 
     def test_join_prints_pairs(self, data_file, capsys):
         assert main(["join", data_file, "--epsilon", "0.3",

@@ -238,8 +238,7 @@ class TestLSHJoin:
             (engine, backend): pair_digest(canonical_pairs(
                 lsh_self_join(pts, EPS, seed=4, engine=engine,
                               backend=backend).result))
-            for engine in ("scalar", "vector", "matmul", "batched",
-                           "auto")
+            for engine in ("scalar", "vector", "matmul", "auto")
             for backend in ("simulated", "file", "memory")
         }
         assert len(set(digests.values())) == 1

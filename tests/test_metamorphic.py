@@ -71,6 +71,13 @@ class TestRelationsHold:
         for report in run_relations(impl, wl.points, EPS, seed=9):
             assert report.ok, report.describe()
 
+    @pytest.mark.parametrize("engine", ["matmul", "auto"])
+    def test_gemm_engines_hold_relations(self, engine):
+        wl = generate_workload("uniform", 80, 3, EPS, seed=4)
+        for report in run_relations("ego", wl.points, EPS, seed=4,
+                                    engine=engine):
+            assert report.ok, report.describe()
+
     def test_relation_names_all_run(self):
         wl = generate_workload("uniform", 30, 2, EPS, seed=0)
         reports = run_relations("ego", wl.points, EPS)

@@ -73,6 +73,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EGOStore(EPS, unit_records=0)
 
+    def test_unknown_engine_rejected_at_construction(self, tmp_path):
+        jpath = str(tmp_path / "store.journal")
+        with pytest.raises(ValueError, match="unknown engine 'gpu'"):
+            EGOStore(EPS, engine="gpu", journal=jpath)
+        # Nothing was journaled for the rejected store.
+        assert Journal(jpath).store_meta() is None
+
     def test_dimension_mismatch_rejected(self, rng):
         store = EGOStore.from_points(rng.random((10, 3)), EPS)
         with pytest.raises(ValueError, match="3-dimensional"):
@@ -369,6 +376,19 @@ class TestJournal:
         jpath = str(tmp_path / "plain.journal")
         Journal(jpath).flush()
         with pytest.raises(ValueError, match="store metadata"):
+            EGOStore.recover(jpath)
+
+    def test_recover_rejects_unknown_engine(self, tmp_path, rng):
+        """A journal naming an engine this build lacks (e.g. a removed
+        one) fails at recovery, not at the first join."""
+        jpath = str(tmp_path / "store.journal")
+        store = EGOStore(EPS, journal=jpath)
+        store.insert(rng.random((10, 2)))
+        jr = Journal(jpath)
+        meta = dict(jr.store_meta(), engine="batched")
+        jr.record_store_meta(meta)
+        jr.flush()
+        with pytest.raises(ValueError, match="unknown engine 'batched'"):
             EGOStore.recover(jpath)
 
 

@@ -198,6 +198,13 @@ class TestOracle:
         assert report.ok, report.describe()
         assert report.pair_count == len(run_impl("brute", wl.points, EPS))
 
+    @pytest.mark.parametrize("engine", ["matmul", "auto"])
+    def test_gemm_row_matches_brute(self, engine):
+        wl = generate_workload("uniform", 120, 3, EPS, seed=6)
+        expected = run_impl("brute", wl.points, EPS)
+        observed = run_impl("ego", wl.points, EPS, engine=engine)
+        np.testing.assert_array_equal(observed, expected)
+
     def test_exception_captured_not_raised(self, temp_impl):
         def explode(points, epsilon, ids=None):
             raise RuntimeError("kaboom")
@@ -213,7 +220,8 @@ class TestOracle:
 
 
 class TestExternalMatrix:
-    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul"])
+    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul",
+                                        "auto"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_join_file_matches_in_memory(self, engine, workers):
         wl = generate_workload("clusters", 90, 3, EPS, seed=11)
@@ -223,13 +231,22 @@ class TestExternalMatrix:
         diff = diff_pairs(expected, observed)
         assert diff.ok, f"{engine}/w{workers}: {diff.summary()}"
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul"])
+    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul",
+                                        "auto"])
     def test_rs_files_matches_self_join(self, engine):
         wl = generate_workload("boundary", 80, 3, EPS, seed=12)
         expected = run_impl("ego", wl.points, EPS)
         observed = run_impl("ego_rs_files", wl.points, EPS, engine=engine)
         diff = diff_pairs(expected, observed)
         assert diff.ok, f"{engine}: {diff.summary()}"
+
+    @pytest.mark.parametrize("engine", ["matmul", "auto"])
+    def test_gemm_crash_resume_matches_in_memory(self, engine):
+        wl = generate_workload("uniform", 90, 3, EPS, seed=14)
+        expected = run_impl("ego", wl.points, EPS)
+        observed = run_impl("ego_external", wl.points, EPS, engine=engine,
+                            storage="crash_resume")
+        np.testing.assert_array_equal(observed, expected)
 
     @pytest.mark.parametrize("storage", STORAGE_MODES)
     def test_storage_wrappers_match(self, storage):
@@ -404,6 +421,14 @@ class TestInvariantMonitor:
         wl = generate_workload("clusters", 60, 3, EPS, seed=4)
         baseline = run_impl("ego", wl.points, EPS)
         observed = run_impl("ego", wl.points, EPS, invariants=True)
+        assert diff_pairs(baseline, observed).ok
+
+    @pytest.mark.parametrize("engine", ["matmul", "auto"])
+    def test_monitor_sees_gemm_leaves(self, engine):
+        wl = generate_workload("uniform", 150, 3, EPS, seed=5)
+        baseline = run_impl("ego", wl.points, EPS, engine="vector")
+        observed = run_impl("ego", wl.points, EPS, engine=engine,
+                            invariants=True)
         assert diff_pairs(baseline, observed).ok
 
     def test_summary_formatting(self):

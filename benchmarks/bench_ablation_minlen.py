@@ -7,11 +7,17 @@ sweeps:
 * ``minlen`` — smaller leaves prune harder (fewer distance
   calculations) at the cost of more recursion (sequence pairs); the
   product shapes CPU time.  The paper reports CPU-optimal sizes below
-  10 points for its C implementation.
+  10 points for its C implementation.  The sweep runs twice: under the
+  early-abort ``vector`` engine, and under the dense ``matmul`` (GEMM)
+  engine, whose wall time falls as leaves grow towards one 256-row
+  tile even while the scalar-priced model CPU seconds rise — the
+  evidence for resolving the default threshold with the engine.
 * I/O unit size under a fixed buffer budget — fewer, larger units cost
   less positioning per byte but blunt the schedule; many small units
   schedule precisely but pay per-access positioning.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ N = 6000
 DIMENSIONS = 8
 EPSILON = 0.25
 MINLENS = [2, 8, 32, 128, 512]
+MATMUL_MINLENS = [32, 64, 128, 256, 512]
 UNIT_SIZES = [2048, 8192, 32768]
 
 
@@ -40,6 +47,28 @@ def minlen_rows(points):
             "minlen": minlen,
             "distance_calcs": cpu.distance_calculations,
             "sequence_pairs": cpu.sequence_pairs,
+            "model_cpu_s": DEFAULT_CPU_MODEL.cpu_time(cpu, DIMENSIONS),
+        })
+    return rows
+
+
+def matmul_rows(points, repeats=2):
+    """The ``matmul`` sweep: best-of-``repeats`` wall seconds per value."""
+    rows = []
+    for minlen in MATMUL_MINLENS:
+        best = float("inf")
+        for _ in range(repeats):
+            cpu = CPUCounters()
+            start = time.perf_counter()
+            result = ego_self_join(points, EPSILON, minlen=minlen,
+                                   engine="matmul", cpu=cpu)
+            best = min(best, time.perf_counter() - start)
+        rows.append({
+            "minlen": minlen,
+            "pairs": result.count,
+            "distance_calcs": cpu.distance_calculations,
+            "sequence_pairs": cpu.sequence_pairs,
+            "wall_s": round(best, 4),
             "model_cpu_s": DEFAULT_CPU_MODEL.cpu_time(cpu, DIMENSIONS),
         })
     return rows
@@ -83,6 +112,16 @@ def test_ablation_minlen(benchmark):
     # covered by the test suite; here we sanity-check the counter sums).
     assert all(r["model_cpu_s"] > 0 for r in rows)
 
+    mrows = matmul_rows(pts)
+    emit("ablation_minlen_matmul",
+         f"§4.1 ablation: CPU sequence size sweep under the GEMM engine "
+         f"(8-d uniform, n={N}, eps={EPSILON})", mrows)
+    # Every threshold finds the same pairs; larger GEMM leaves trade
+    # more candidate tests for far less recursion.
+    assert len({r["pairs"] for r in mrows}) == 1
+    pairs = [r["sequence_pairs"] for r in mrows]
+    assert pairs == sorted(pairs, reverse=True)
+
     urows = unit_rows(pts)
     emit("ablation_unitsize",
          f"§4.1 ablation: I/O unit size sweep under one 10% budget",
@@ -97,4 +136,6 @@ def test_ablation_minlen(benchmark):
 if __name__ == "__main__":
     pts = uniform(N, DIMENSIONS, seed=800)
     emit("ablation_minlen", "minlen sweep", minlen_rows(pts))
+    emit("ablation_minlen_matmul", "minlen sweep (matmul)",
+         matmul_rows(pts))
     emit("ablation_unitsize", "unit size sweep", unit_rows(pts))

@@ -295,6 +295,10 @@ def cmd_join(args) -> int:
         except SupervisorError as exc:
             print(f"unrecoverable worker fault: {exc}", file=sys.stderr)
             return 4
+        except ValueError as exc:
+            # E.g. --resume of a checkpoint written with other parameters.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     _dump_obs(args, tracer, registry, profiler)
     pairs = report.total_pairs
     if pairs is None:

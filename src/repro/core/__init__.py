@@ -10,8 +10,8 @@ from .ego_order import (ego_compare, ego_key, ego_less, ego_sort_order,
                         ego_sorted, epsilon_interval, grid_cells,
                         is_ego_sorted, outside_interval_high,
                         outside_interval_low, validate_epsilon)
-from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
-                      pairs_within_matmul, select_engine)
+from .kernels import (DEFAULT_MINLEN, ENGINES, ScratchBuffers,
+                      candidate_windows, pairs_within_matmul, select_engine)
 from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                       get_metric)
 from .parallel import SerialUnitJoiner, ego_self_join_parallel
@@ -21,9 +21,8 @@ from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 from .scheduler import (EGOScheduler, ScheduleStats, UnitMeta, lex_less,
                         schedule_self_join)
 from .sequence import Sequence
-from .sequence_join import (DEFAULT_MINLEN, EXCLUSION_CELL_DISTANCE,
-                            JoinContext, join_point_blocks, join_sequences,
-                            simple_join)
+from .sequence_join import (EXCLUSION_CELL_DISTANCE, JoinContext,
+                            join_point_blocks, join_sequences, simple_join)
 
 __all__ = [
     "DEFAULT_MINLEN",

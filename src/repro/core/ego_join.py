@@ -43,12 +43,13 @@ from .preprocess import resolve_dimension_order
 from .result import JoinResult
 from .scheduler import EGOScheduler, ScheduleStats
 from .sequence import Sequence
-from .sequence_join import DEFAULT_MINLEN, JoinContext, join_sequences
+from .sequence_join import JoinContext, join_sequences
 from .supervisor import (SupervisedUnitJoiner, SupervisorPolicy,
                          SupervisorStats, replay_stats)
 
 
-def _make_context(epsilon: float, result: JoinResult, minlen: int,
+def _make_context(epsilon: float, result: JoinResult,
+                  minlen: Optional[int],
                   engine: str, order_dimensions: bool,
                   cpu: Optional[CPUCounters],
                   metric=None, split_strategy: str = "half",
@@ -62,7 +63,7 @@ def _make_context(epsilon: float, result: JoinResult, minlen: int,
 
 def ego_self_join(points: np.ndarray, epsilon: float,
                   ids: Optional[np.ndarray] = None,
-                  minlen: int = DEFAULT_MINLEN, engine: str = "vector",
+                  minlen: Optional[int] = None, engine: str = "vector",
                   order_dimensions: bool = True,
                   cpu: Optional[CPUCounters] = None,
                   result: Optional[JoinResult] = None,
@@ -103,7 +104,7 @@ def ego_self_join(points: np.ndarray, epsilon: float,
 def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
              ids_r: Optional[np.ndarray] = None,
              ids_s: Optional[np.ndarray] = None,
-             minlen: int = DEFAULT_MINLEN, engine: str = "vector",
+             minlen: Optional[int] = None, engine: str = "vector",
              order_dimensions: bool = True,
              cpu: Optional[CPUCounters] = None,
              result: Optional[JoinResult] = None,
@@ -232,7 +233,7 @@ class ExternalRSJoinReport:
 def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                    unit_bytes: int, buffer_units: int,
                    sort_memory_records: Optional[int] = None,
-                   minlen: int = DEFAULT_MINLEN, engine: str = "vector",
+                   minlen: Optional[int] = None, engine: str = "vector",
                    order_dimensions: bool = True,
                    materialize: bool = True,
                    metric=None,
@@ -315,12 +316,31 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
             disk.close()
 
 
+def _checkpoint_params(ctx: JoinContext, unit_bytes: int,
+                       sort_memory_records: int) -> dict:
+    """Run parameters a checkpoint may only be resumed under.
+
+    Each one changes the sorted file, the unit numbering or the pair
+    stream the journal's progress refers to.  Worker counts, faults,
+    retries and engines that emit identical streams at the same leaf
+    threshold are left out, so those may differ between a crashed run
+    and its resumption.
+    """
+    return {"epsilon": ctx.epsilon,
+            "grid_epsilon": ctx.grid_epsilon,
+            "metric": repr(ctx.metric),
+            "unit_bytes": int(unit_bytes),
+            "sort_memory_records": int(sort_memory_records),
+            "split_strategy": ctx.split_strategy,
+            "minlen": ctx.minlen}
+
+
 def ego_self_join_file(input_file: PointFile, epsilon: float,
                        unit_bytes: int, buffer_units: int,
                        sort_memory_records: Optional[int] = None,
                        sorted_disk: Optional[SimulatedDisk] = None,
                        scratch_disk: Optional[SimulatedDisk] = None,
-                       minlen: int = DEFAULT_MINLEN, engine: str = "vector",
+                       minlen: Optional[int] = None, engine: str = "vector",
                        order_dimensions: bool = True,
                        allow_crabstep: bool = True,
                        materialize: bool = True,
@@ -466,12 +486,29 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             # did exactly that).  Fall back to re-sorting at ε.
             assume_sorted = False
 
+    # The context is built before any checkpoint state is touched, so a
+    # bad parameter fails without resetting a journal, and a resume is
+    # checked against the resolved leaf threshold.
+    cpu = CPUCounters()
+    result = JoinResult(materialize=materialize)
+    ctx = JoinContext(epsilon=epsilon, result=result, minlen=minlen,
+                      engine=engine, order_dimensions=order_dimensions,
+                      cpu=cpu, metric=metric,
+                      grid_epsilon=grid_epsilon,
+                      invariants=invariants,
+                      trace=tracer, metrics=registry)
+
     journal: Optional[Journal] = None
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        journal = Journal(os.path.join(checkpoint_dir, "journal.json"))
-        if not resume:
+        journal_path = os.path.join(checkpoint_dir, "journal.json")
+        journal = Journal(journal_path)
+        params = _checkpoint_params(ctx, unit_bytes, sort_memory_records)
+        if resume and os.path.exists(journal_path):
+            journal.check_run_params(params)
+        else:
             journal.reset()
+            journal.record_run_params(params)
 
     def wrap(disk, sidecar: bool = False):
         return make_robust_disk(disk, plan=fault_plan, checksums=checksums,
@@ -533,6 +570,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                         f"{result_path} is missing or empty")
                 pair_file = PairFile.create(result_disk)
             collector = SpillingCollector(pair_file)
+            result.callback = collector
 
         if journal is not None and journal.join_complete is not None:
             # The previous incarnation finished everything; nothing to
@@ -572,15 +610,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                     ego_key_function(epsilon), sort_memory_records,
                     journal=journal, trace=tracer, metrics=registry)
             sort_io_time = io_scope.time_delta()
-
-        cpu = CPUCounters()
-        result = JoinResult(materialize=materialize, callback=collector)
-        ctx = JoinContext(epsilon=epsilon, result=result, minlen=minlen,
-                          engine=engine, order_dimensions=order_dimensions,
-                          cpu=cpu, metric=metric,
-                          grid_epsilon=grid_epsilon,
-                          invariants=invariants,
-                          trace=tracer, metrics=registry)
 
         pair_done = None
         pair_complete = None

@@ -21,7 +21,8 @@ provides a BLAS-bound alternative:
   tiles, norms and masks, so steady-state leaf joins allocate nothing
   proportional to ``block²``.
 * :func:`select_engine` — resolves an engine name and metric to the
-  kernel that runs (``"auto"`` is GEMM for Euclidean leaves).
+  kernel that runs (``"auto"`` is GEMM for Euclidean leaves), and
+  :func:`resolve_minlen` the leaf threshold that suits that kernel.
 
 Counter semantics: the dense kernel has no early abort, so with
 ``counters`` it charges one distance calculation and ``d`` dimension
@@ -46,6 +47,13 @@ from .metrics import Metric
 #: still amortising the BLAS call overhead.
 DEFAULT_BLOCK = 256
 
+#: Leaf threshold of the scalar and vector engines.  The paper reports
+#: CPU-optimal sequence sizes below ten points for its early-abort C
+#: loop; in this numpy-based reproduction larger leaves amortise
+#: per-call overhead, so the default is higher.
+#: ``benchmarks/bench_ablation_minlen.py`` sweeps this parameter.
+DEFAULT_MINLEN = 32
+
 #: Engines a :class:`~repro.core.sequence_join.JoinContext` accepts.
 ENGINES = ("scalar", "vector", "matmul", "auto")
 
@@ -63,6 +71,21 @@ def select_engine(engine: str, metric: Optional[Metric] = None) -> str:
             return "vector"
         return "matmul"
     return engine
+
+
+def resolve_minlen(minlen: Optional[int], leaf_engine: str) -> int:
+    """The leaf threshold of a join whose leaves run ``leaf_engine``.
+
+    An explicit ``minlen`` always wins.  ``None`` resolves to one GEMM
+    tile per side (:data:`DEFAULT_BLOCK`) for ``"matmul"`` leaves: the
+    dense kernel has no early abort for small leaves to protect, so
+    smaller leaves only add recursion and call overhead.  The
+    early-abort ``"scalar"`` and ``"vector"`` engines keep
+    :data:`DEFAULT_MINLEN`.
+    """
+    if minlen is not None:
+        return minlen
+    return DEFAULT_BLOCK if leaf_engine == "matmul" else DEFAULT_MINLEN
 
 
 class ScratchBuffers:

@@ -33,8 +33,7 @@ from .ego_order import (ego_sorted, ensure_finite, grid_cells,
                         lex_less, validate_epsilon)
 from .result import JoinResult
 from .sequence import Sequence
-from .sequence_join import (DEFAULT_MINLEN, JoinContext, join_point_blocks,
-                            join_sequences)
+from .sequence_join import JoinContext, join_point_blocks, join_sequences
 
 #: Per-process state installed by the pool initializer.
 _WORKER_STATE: dict = {}
@@ -43,7 +42,7 @@ Task = Tuple[int, int, int, int, bool]
 
 
 def _init_worker(ids: np.ndarray, points: np.ndarray, epsilon: float,
-                 minlen: int, engine: str, order_dimensions: bool,
+                 minlen: Optional[int], engine: str, order_dimensions: bool,
                  metric=None) -> None:
     _WORKER_STATE["ids"] = ids
     _WORKER_STATE["points"] = points
@@ -111,7 +110,7 @@ def ego_self_join_parallel(points: np.ndarray, epsilon: float,
                            ids: Optional[np.ndarray] = None,
                            workers: int = 2,
                            chunks: Optional[int] = None,
-                           minlen: int = DEFAULT_MINLEN,
+                           minlen: Optional[int] = None,
                            engine: str = "vector",
                            order_dimensions: bool = True,
                            result: Optional[JoinResult] = None,

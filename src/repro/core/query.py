@@ -27,7 +27,7 @@ from .ego_order import (ego_sorted, ensure_finite, grid_cells,
 from .metrics import get_metric
 from .result import JoinResult
 from .sequence import Sequence
-from .sequence_join import DEFAULT_MINLEN, JoinContext, join_sequences
+from .sequence_join import JoinContext, join_sequences
 
 
 class EGOIndex:
@@ -119,7 +119,7 @@ class EGOIndex:
 
     # -- joins -----------------------------------------------------------
 
-    def _context(self, result: JoinResult, minlen: int,
+    def _context(self, result: JoinResult, minlen: Optional[int],
                  cpu: Optional[CPUCounters],
                  epsilon: Optional[float] = None) -> JoinContext:
         eps_join = self.epsilon if epsilon is None else float(epsilon)
@@ -131,7 +131,7 @@ class EGOIndex:
                            minlen=minlen, cpu=cpu, metric=self.metric,
                            grid_epsilon=self.epsilon)
 
-    def self_join(self, minlen: int = DEFAULT_MINLEN,
+    def self_join(self, minlen: Optional[int] = None,
                   result: Optional[JoinResult] = None,
                   cpu: Optional[CPUCounters] = None,
                   epsilon: Optional[float] = None) -> JoinResult:
@@ -149,7 +149,7 @@ class EGOIndex:
         join_sequences(seq, seq, ctx)
         return result
 
-    def join(self, other: "EGOIndex", minlen: int = DEFAULT_MINLEN,
+    def join(self, other: "EGOIndex", minlen: Optional[int] = None,
              result: Optional[JoinResult] = None,
              cpu: Optional[CPUCounters] = None,
              epsilon: Optional[float] = None) -> JoinResult:

@@ -27,16 +27,10 @@ from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
 from .ego_order import lex_less, validate_epsilon
 from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
-                      pairs_within_matmul, select_engine)
+                      pairs_within_matmul, resolve_minlen, select_engine)
 from .metrics import Metric, get_metric
 from .result import JoinResult
 from .sequence import Sequence
-
-#: Default leaf size.  The paper reports CPU-optimal sequence sizes below
-#: ten points for its C implementation; in this numpy-based reproduction
-#: larger leaves amortise per-call overhead, so the default is higher.
-#: ``benchmarks/bench_ablation_minlen.py`` sweeps this parameter.
-DEFAULT_MINLEN = 32
 
 #: Cell distance in a common inactive dimension from which a sequence
 #: pair cannot contain any join pair.  Section 3.3's formal rule is ≥ 2
@@ -61,6 +55,10 @@ class JoinContext:
     leaves, ``vector`` otherwise).  ``leaf_engine`` is the kernel that
     actually runs: ``matmul`` and ``auto`` resolve to ``vector`` for
     non-Euclidean metrics, since the Gram identity only holds for L2.
+    ``minlen`` is the leaf threshold; ``None`` resolves it with the leaf
+    engine (:func:`~repro.core.kernels.resolve_minlen`: one 256-row
+    GEMM tile for ``matmul`` leaves, 32 for ``scalar``/``vector``), and
+    an explicit value always wins.
 
     ``invariants`` enables the runtime invariant hooks of
     :mod:`repro.verify.invariants`: pruning-soundness and leaf-exactness
@@ -73,7 +71,7 @@ class JoinContext:
 
     epsilon: float
     result: JoinResult
-    minlen: int = DEFAULT_MINLEN
+    minlen: Optional[int] = None
     engine: str = "vector"
     order_dimensions: bool = True
     exclusion_distance: int = EXCLUSION_CELL_DISTANCE
@@ -106,11 +104,13 @@ class JoinContext:
                 raise ValueError(
                     f"grid_epsilon {self.grid_epsilon} must be at least "
                     f"the join epsilon {self.epsilon}")
-        if self.minlen < 1:
-            raise ValueError(f"minlen must be at least 1, got {self.minlen}")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; known: {ENGINES}")
+        self.leaf_engine = select_engine(self.engine, self.engine_metric)
+        self.minlen = resolve_minlen(self.minlen, self.leaf_engine)
+        if self.minlen < 1:
+            raise ValueError(f"minlen must be at least 1, got {self.minlen}")
         if self.split_strategy not in ("half", "boundary"):
             raise ValueError(
                 f"unknown split_strategy {self.split_strategy!r}")
@@ -119,7 +119,6 @@ class JoinContext:
             # so a module-level import here would be circular.
             from ..verify.invariants import make_monitor
             self.monitor = make_monitor(True)
-        self.leaf_engine = select_engine(self.engine, self.engine_metric)
         self.trace = ensure_tracer(self.trace)
         self.metrics = ensure_metrics(self.metrics)
         self.obs = _SequenceObs(self.metrics)

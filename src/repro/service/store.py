@@ -54,11 +54,11 @@ import numpy as np
 
 from ..core.ego_order import (cell_sort_order, ego_sort_order,
                               ensure_finite, grid_cells, validate_epsilon)
-from ..core.kernels import ENGINES
+from ..core.kernels import (DEFAULT_MINLEN, ENGINES, resolve_minlen,
+                            select_engine)
 from ..core.result import JoinResult
 from ..core.sequence import Sequence
-from ..core.sequence_join import (DEFAULT_MINLEN, JoinContext,
-                                  join_sequences)
+from ..core.sequence_join import JoinContext, join_sequences
 from ..obs.metrics import ensure_metrics
 from ..obs.trace import ensure_tracer
 from ..sorting.external_sort import merge_sorted_arrays
@@ -156,11 +156,14 @@ class EGOStore:
     engine, minlen:
         Leaf kernel and leaf size for every sequence join the store
         runs (see :class:`repro.core.sequence_join.JoinContext`).
+        ``minlen=None`` resolves with the engine (256 for the default
+        ``auto``, whose leaves run the GEMM kernel); the resolved value
+        is journaled, so a recovered store keeps it.
     compact_threshold:
         Delta-buffer row count at which a mutating op triggers
         compaction into the main run.
     cache_size:
-        Join-result LRU capacity (0 disables caching).
+        Join-result LRU capacity (0 disables caching; must be >= 0).
     unit_records:
         Main-run rows per resident ε-interval metadata entry.
     journal:
@@ -175,7 +178,7 @@ class EGOStore:
     """
 
     def __init__(self, epsilon: float, *, dimensions: Optional[int] = None,
-                 engine: str = "auto", minlen: int = DEFAULT_MINLEN,
+                 engine: str = "auto", minlen: Optional[int] = None,
                  compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  unit_records: int = DEFAULT_UNIT_RECORDS,
@@ -193,9 +196,14 @@ class EGOStore:
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; known: {ENGINES}")
+        minlen = int(resolve_minlen(minlen, select_engine(engine)))
+        if minlen < 1:
+            raise ValueError(f"minlen must be at least 1, got {minlen}")
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._dims = None if dimensions is None else int(dimensions)
         self._engine = engine
-        self._minlen = int(minlen)
+        self._minlen = minlen
         self._compact_threshold = int(compact_threshold)
         self._cache_size = int(cache_size)
         self._unit_records = int(unit_records)

@@ -86,6 +86,37 @@ class Journal:
         self._pairs_done = set()
         self.flush()
 
+    # -- run parameters ------------------------------------------------------
+
+    def record_run_params(self, params: Dict) -> None:
+        """Record the parameters a checkpointed run was started with."""
+        self.state["run_params"] = dict(params)
+        self._changed(force=True)
+
+    def check_run_params(self, params: Dict) -> None:
+        """Refuse to resume under parameters other than the recorded ones.
+
+        Raises :class:`ValueError` naming every differing key with its
+        recorded and requested value, and — just as loudly — when the
+        journal records no parameters at all (it predates them), since
+        its progress could then belong to a different join.
+        """
+        recorded = self.state.get("run_params")
+        if recorded is None:
+            raise ValueError(
+                f"checkpoint journal {self.path} records no run "
+                f"parameters, so it cannot be resumed safely; start a "
+                f"fresh run without resume")
+        requested = json.loads(json.dumps(params))
+        diffs = [f"{key} {recorded.get(key)!r} -> {requested.get(key)!r}"
+                 for key in sorted(set(recorded) | set(requested))
+                 if recorded.get(key) != requested.get(key)]
+        if diffs:
+            raise ValueError(
+                f"checkpoint in {os.path.dirname(self.path) or '.'} was "
+                f"written with different parameters ({'; '.join(diffs)}); "
+                f"resume with the recorded values or start a fresh run")
+
     # -- sort phase ---------------------------------------------------------
 
     def record_sort_run(self, index: int, start_byte: int,

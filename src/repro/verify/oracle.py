@@ -124,12 +124,10 @@ def run_impl(name: str, points: np.ndarray, epsilon: float,
 def _ego(points, epsilon, ids=None, *, engine="vector", minlen=None,
          split_strategy="half", order_dimensions=True, sort_dims=None,
          invariants=False) -> np.ndarray:
-    kwargs = {} if minlen is None else {"minlen": minlen}
     res = ego_self_join(points, epsilon, ids=ids, engine=engine,
-                        split_strategy=split_strategy,
+                        minlen=minlen, split_strategy=split_strategy,
                         order_dimensions=order_dimensions,
-                        sort_dims=sort_dims, invariants=invariants,
-                        **kwargs)
+                        sort_dims=sort_dims, invariants=invariants)
     return canonical_pairs(res)
 
 

@@ -11,6 +11,7 @@ scratch buffers, engine selection) and the precision fixes they rely on.
   count proportional to the accepts.
 """
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,18 +19,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distance import natural_ordering, pairs_within_scalar
-from repro.core.ego_join import ego_join, ego_self_join
+from repro.core.ego_join import ego_join, ego_self_join, ego_self_join_file
 from repro.core.ego_order import ego_sorted, floor_cells, grid_cells
-from repro.core.kernels import (ScratchBuffers, candidate_windows,
-                                pairs_within_matmul, select_engine)
+from repro.core.kernels import (DEFAULT_BLOCK, DEFAULT_MINLEN, ENGINES,
+                                ScratchBuffers, candidate_windows,
+                                pairs_within_matmul, resolve_minlen,
+                                select_engine)
 from repro.core.metrics import get_metric
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import JoinContext, join_sequences
 from repro.core.result import JoinResult
 from repro.obs.metrics import MetricsRegistry
+from repro.service.store import EGOStore
+from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.journal import Journal
+from repro.storage.pairfile import PairFile
 from repro.storage.stats import CPUCounters
+from repro.verify.canonical import canonical_pairs, pair_digest
 
-from conftest import brute_truth
+from conftest import brute_truth, make_file
 
 METRICS = [None, "manhattan", "chebyshev", 3.0]
 
@@ -408,6 +417,42 @@ class TestEngineSelection:
             JoinContext(epsilon=0.1, result=JoinResult(), engine="gpu")
 
 
+class TestLeafThreshold:
+    """The default leaf threshold is resolved with the leaf engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_default_follows_leaf_engine(self, engine, metric):
+        ctx = JoinContext(epsilon=0.1, result=JoinResult(), engine=engine,
+                          metric=metric)
+        gemm = engine in ("matmul", "auto") and metric is None
+        assert ctx.leaf_engine == ("matmul" if gemm else
+                                   "vector" if engine != "scalar"
+                                   else "scalar")
+        assert ctx.minlen == (DEFAULT_BLOCK if gemm else DEFAULT_MINLEN)
+        assert resolve_minlen(None, ctx.leaf_engine) == ctx.minlen
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_explicit_value_wins(self, engine, metric):
+        for minlen in (1, 7, DEFAULT_MINLEN, 1000):
+            ctx = JoinContext(epsilon=0.1, result=JoinResult(),
+                              engine=engine, metric=metric, minlen=minlen)
+            assert ctx.minlen == minlen
+        assert resolve_minlen(5, "matmul") == 5
+
+    def test_gemm_default_is_one_tile(self):
+        assert resolve_minlen(None, "matmul") == DEFAULT_BLOCK == 256
+        assert resolve_minlen(None, "vector") == DEFAULT_MINLEN == 32
+        assert resolve_minlen(None, "scalar") == DEFAULT_MINLEN
+
+    @pytest.mark.parametrize("minlen", [0, -3])
+    def test_resolved_value_is_validated(self, minlen):
+        with pytest.raises(ValueError, match="minlen"):
+            JoinContext(epsilon=0.1, result=JoinResult(), engine="auto",
+                        minlen=minlen)
+
+
 class TestEnginesEndToEnd:
     @given(st.integers(min_value=0, max_value=120),
            st.integers(min_value=1, max_value=5),
@@ -471,16 +516,110 @@ class TestEnginesEndToEnd:
     @pytest.mark.parametrize("offset", [0.0, -5e6, 1e8])
     def test_stream_identical_to_vector(self, rng, engine, offset):
         """With leaves of at most one GEMM tile, the GEMM kernel emits
-        pairs in the vector engine's order, translated data included."""
+        pairs in the vector engine's order, translated data included.
+        The leaf threshold is pinned on both sides: at the defaults the
+        GEMM leaves are larger and the raw order differs (see
+        ``TestDefaultThresholdEquivalence``)."""
         pts = rng.random((300, 4)) + offset
-        ref = ego_self_join(pts, 0.15, engine="vector")
-        got = ego_self_join(pts, 0.15, engine=engine)
+        ref = ego_self_join(pts, 0.15, engine="vector",
+                            minlen=DEFAULT_MINLEN)
+        got = ego_self_join(pts, 0.15, engine=engine, minlen=DEFAULT_MINLEN)
         assert stream_pairs(got) == stream_pairs(ref)
 
     @pytest.mark.parametrize("engine", ["matmul", "auto"])
     def test_rs_join_stream_identical_to_vector(self, rng, engine):
         r = rng.random((180, 3))
         s = rng.random((150, 3))
-        ref = ego_join(r, s, 0.2, engine="vector")
-        got = ego_join(r, s, 0.2, engine=engine)
+        ref = ego_join(r, s, 0.2, engine="vector", minlen=DEFAULT_MINLEN)
+        got = ego_join(r, s, 0.2, engine=engine, minlen=DEFAULT_MINLEN)
         assert stream_pairs(got) == stream_pairs(ref)
+
+
+class TestDefaultThresholdEquivalence:
+    """At the defaults ``auto`` resolves 256-row GEMM leaves and
+    ``vector`` 32-row ones.  The leaf boundaries differ, so only the raw
+    emission order may change: canonical pairs and their digests must
+    match everywhere the threshold is resolved."""
+
+    EPS = 0.3
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(16).random((900, 4))
+
+    @staticmethod
+    def assert_same(got, ref, ordered=False):
+        a = canonical_pairs(got, ordered=ordered)
+        b = canonical_pairs(ref, ordered=ordered)
+        assert len(a) > 0
+        np.testing.assert_array_equal(a, b)
+        assert pair_digest(a) == pair_digest(b)
+
+    def test_self_join(self, points):
+        reg_a, reg_v = MetricsRegistry(), MetricsRegistry()
+        got = JoinResult()
+        ref = JoinResult()
+        ids, spts = ego_sorted(points, self.EPS)
+        for engine, reg, res in (("auto", reg_a, got),
+                                 ("vector", reg_v, ref)):
+            ctx = JoinContext(epsilon=self.EPS, result=res, engine=engine,
+                              metrics=reg)
+            seq = Sequence(ids, spts, self.EPS)
+            join_sequences(seq, seq, ctx)
+        self.assert_same(got, ref)
+        self.assert_same(ego_self_join(points, self.EPS, engine="auto"),
+                         ego_self_join(points, self.EPS, engine="vector"))
+        # The larger GEMM leaves take far fewer kernel calls.
+        calls_a = reg_a.get("ego_leaf_joins_total").value_of("matmul")
+        calls_v = reg_v.get("ego_leaf_joins_total").value_of("vector")
+        assert 0 < calls_a < calls_v
+
+    def test_rs_join(self, points):
+        r, s = points[:500], points[500:] + 0.01
+        self.assert_same(ego_join(r, s, self.EPS, engine="auto"),
+                         ego_join(r, s, self.EPS, engine="vector"),
+                         ordered=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_external_join(self, points, workers):
+        reports = {}
+        for engine in ("auto", "vector"):
+            with SimulatedDisk() as disk:
+                pf = make_file(disk, points)
+                reports[engine] = ego_self_join_file(
+                    pf, self.EPS, unit_bytes=4096, buffer_units=4,
+                    engine=engine, workers=workers)
+        self.assert_same(reports["auto"].result, reports["vector"].result)
+
+    def test_external_crash_resume(self, points, tmp_path):
+        def read_result(ck):
+            with SimulatedDisk(path=os.path.join(ck, "result.prs")) as rd:
+                a, b, _ = PairFile.open(rd).read_all()
+            return a, b
+
+        kw = dict(unit_bytes=4096, buffer_units=4)
+        ck_a, ck_v = str(tmp_path / "auto"), str(tmp_path / "vector")
+        with SimulatedDisk() as disk:
+            pf = make_file(disk, points)
+            with pytest.raises(SimulatedCrash):
+                ego_self_join_file(pf, self.EPS, engine="auto",
+                                   checkpoint_dir=ck_a,
+                                   fault_plan=FaultPlan(crash_ops=[30]),
+                                   **kw)
+            # The crash lands mid-join: some unit pairs are durable.
+            assert Journal(os.path.join(ck_a, "journal.json")).pair_watermark
+            resumed = ego_self_join_file(pf, self.EPS, engine="auto",
+                                         checkpoint_dir=ck_a, resume=True,
+                                         **kw)
+            assert resumed.resumed
+            ego_self_join_file(pf, self.EPS, engine="vector",
+                               checkpoint_dir=ck_v, **kw)
+        self.assert_same(read_result(ck_a), read_result(ck_v))
+
+    def test_store_join(self, points):
+        stores = {engine: EGOStore.from_points(points, self.EPS,
+                                               engine=engine)
+                  for engine in ("auto", "vector")}
+        assert stores["auto"]._minlen == DEFAULT_BLOCK
+        assert stores["vector"]._minlen == DEFAULT_MINLEN
+        self.assert_same(stores["auto"].join(), stores["vector"].join())

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from hypothesis import stateful
 
+from repro.core.ego_join import ego_self_join
+from repro.core.kernels import DEFAULT_MINLEN
+from repro.storage.stats import CPUCounters
 from repro.verify import (
     RELATION_NAMES,
     REGISTRY,
@@ -73,10 +76,17 @@ class TestRelationsHold:
 
     @pytest.mark.parametrize("engine", ["matmul", "auto"])
     def test_gemm_engines_hold_relations(self, engine):
+        # The GEMM default leaf (one 256-row tile) would make all 80
+        # points one leaf; pin the threshold so the relations also
+        # cover the pruning recursion.
         wl = generate_workload("uniform", 80, 3, EPS, seed=4)
         for report in run_relations("ego", wl.points, EPS, seed=4,
-                                    engine=engine):
+                                    engine=engine, minlen=DEFAULT_MINLEN):
             assert report.ok, report.describe()
+        cpu = CPUCounters()
+        ego_self_join(wl.points, EPS, engine=engine, minlen=DEFAULT_MINLEN,
+                      cpu=cpu)
+        assert cpu.sequence_exclusions > 0
 
     def test_relation_names_all_run(self):
         wl = generate_workload("uniform", 30, 2, EPS, seed=0)

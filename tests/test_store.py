@@ -73,6 +73,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EGOStore(EPS, unit_records=0)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"minlen": 0}, "minlen"),
+        ({"minlen": -4}, "minlen"),
+        ({"cache_size": -1}, "cache_size"),
+    ])
+    def test_bad_leaf_and_cache_sizes_rejected(self, tmp_path, rng, kwargs,
+                                               match):
+        jpath = str(tmp_path / "store.journal")
+        with pytest.raises(ValueError, match=match):
+            EGOStore.from_points(rng.random((20, 2)), EPS, journal=jpath,
+                                 **kwargs)
+        assert Journal(jpath).store_meta() is None
+
+    def test_leaf_threshold_resolves_with_engine(self):
+        assert EGOStore(EPS)._minlen == 256          # auto -> GEMM tile
+        assert EGOStore(EPS, engine="vector")._minlen == 32
+        assert EGOStore(EPS, engine="matmul", minlen=8)._minlen == 8
+
     def test_unknown_engine_rejected_at_construction(self, tmp_path):
         jpath = str(tmp_path / "store.journal")
         with pytest.raises(ValueError, match="unknown engine 'gpu'"):
@@ -376,6 +394,36 @@ class TestJournal:
         jpath = str(tmp_path / "plain.journal")
         Journal(jpath).flush()
         with pytest.raises(ValueError, match="store metadata"):
+            EGOStore.recover(jpath)
+
+    def test_resolved_threshold_is_journaled(self, tmp_path, rng):
+        jpath = str(tmp_path / "store.journal")
+        EGOStore.from_points(rng.random((30, 2)), EPS, journal=jpath)
+        assert Journal(jpath).store_meta()["minlen"] == 256
+        assert EGOStore.recover(jpath)._minlen == 256
+
+    def test_old_default_journal_recovers_with_its_threshold(self, tmp_path,
+                                                             rng):
+        """A journal that recorded the old default ``minlen: 32`` keeps
+        32 on recovery; the state and the join answer are unchanged."""
+        jpath = str(tmp_path / "store.journal")
+        store = EGOStore(EPS, minlen=32, compact_threshold=16,
+                         journal=jpath)
+        for _ in range(5):
+            store.insert(rng.random((9, 3)))
+        store.delete(store.ids()[:4].tolist())
+        assert Journal(jpath).store_meta()["minlen"] == 32
+        recovered = EGOStore.recover(jpath)
+        assert recovered._minlen == 32
+        assert recovered.state_digest() == store.state_digest()
+        assert np.array_equal(recovered.join(), store.join())
+
+    def test_recover_rejects_bad_minlen(self, tmp_path, rng):
+        jpath = str(tmp_path / "store.journal")
+        EGOStore.from_points(rng.random((10, 2)), EPS, journal=jpath)
+        jr = Journal(jpath)
+        jr.record_store_meta(dict(jr.store_meta(), minlen=0))
+        with pytest.raises(ValueError, match="minlen"):
             EGOStore.recover(jpath)
 
     def test_recover_rejects_unknown_engine(self, tmp_path, rng):

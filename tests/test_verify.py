@@ -18,9 +18,11 @@ from repro.cli import main as cli_main
 from repro.core import sequence_join
 from repro.core.ego_join import ego_self_join
 from repro.core.ego_order import grid_cells, lex_less
+from repro.core.kernels import DEFAULT_MINLEN
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler, UnitMeta
 from repro.core.sequence_join import JoinContext, join_point_blocks
+from repro.storage.stats import CPUCounters
 from repro.verify import (
     DEFAULT_CONFIGS,
     REGISTRY,
@@ -425,11 +427,18 @@ class TestInvariantMonitor:
 
     @pytest.mark.parametrize("engine", ["matmul", "auto"])
     def test_monitor_sees_gemm_leaves(self, engine):
+        # Pinned below the GEMM default (one 256-row tile, which would
+        # make all 150 points one leaf) so the monitor also checks the
+        # recursion's prunes.
         wl = generate_workload("uniform", 150, 3, EPS, seed=5)
         baseline = run_impl("ego", wl.points, EPS, engine="vector")
         observed = run_impl("ego", wl.points, EPS, engine=engine,
-                            invariants=True)
+                            minlen=DEFAULT_MINLEN, invariants=True)
         assert diff_pairs(baseline, observed).ok
+        cpu = CPUCounters()
+        ego_self_join(wl.points, EPS, engine=engine, minlen=DEFAULT_MINLEN,
+                      invariants=True, cpu=cpu)
+        assert cpu.sequence_exclusions > 0
 
     def test_summary_formatting(self):
         monitor = InvariantMonitor()
